@@ -24,7 +24,6 @@ use crate::frameworks::DeploymentDescriptor;
 use crate::lcp;
 use crate::parallel;
 use crate::rules::{IssueType, RuleSet};
-use crate::summaries::{DeltaPlan, SummaryStore};
 
 /// A reported flow with human-readable anchors (serializable).
 #[derive(Clone, Debug, Serialize)]
@@ -68,12 +67,6 @@ pub struct AnalysisStats {
     pub instance_keys: usize,
     /// Abstract pointers.
     pub pointer_keys: usize,
-    /// Phase-1 wall time (ms).
-    pub pointer_ms: u128,
-    /// Phase-2 wall time (ms).
-    pub slice_ms: u128,
-    /// Total wall time (ms).
-    pub total_ms: u128,
     /// Heap store→load transitions performed while slicing.
     pub heap_transitions: usize,
     /// Slicer work units (facts processed).
@@ -343,26 +336,11 @@ pub struct Phase1 {
     pub escape: EscapeAnalysis,
     /// May-happen-in-parallel relation over call-graph nodes.
     pub mhp: MhpRelation,
-    /// Wall time spent (ms).
-    pub pointer_ms: u128,
     /// Why phase 1 stopped early, if it was interrupted. An interrupted
     /// phase 1 is a *consistent truncation* (like an exhausted
     /// `max_cg_nodes` budget) with escape/MHP replaced by their
     /// conservative top elements — usable, but not cacheable.
     pub interrupted: Option<InterruptReason>,
-    /// Summary-store provenance when this result was produced by an
-    /// incremental run: `(program_fingerprint, methods_total)` of the
-    /// [`crate::summaries::SummaryStore`] it was solved against. `None`
-    /// for plain (non-incremental) runs, which never pay the canonical-
-    /// rendering cost. Observation metadata only — deliberately **not**
-    /// part of [`Phase1::matches`]: the result is byte-identical to a
-    /// cold solve of the same program either way.
-    pub summary_key: Option<(u128, usize)>,
-    /// How many method summaries the producing run re-solved: the full
-    /// store size for a cold run, the dirty-region size for an
-    /// incremental one, 0 when the artifact was reused outright.
-    /// Observation metadata, same caveat as `summary_key`.
-    pub methods_resolved: usize,
     cg_key: (Option<usize>, bool),
 }
 
@@ -396,49 +374,14 @@ pub fn run_phase1_supervised(
 }
 
 /// [`run_phase1_supervised`] under a tracing recorder. The whole phase
-/// runs inside a `phase1` span whose measured duration *is*
-/// [`Phase1::pointer_ms`] — spans are the single timing source — with
-/// `phase1.solve` (inside the pointer solver), `phase1.heapgraph`,
+/// runs inside a `phase1` span — spans are the single timing source —
+/// with `phase1.solve` (inside the pointer solver), `phase1.heapgraph`,
 /// `phase1.escape`, and `phase1.mhp` child spans.
 pub fn run_phase1_traced(
     prepared: &PreparedProgram,
     config: &TajConfig,
     supervisor: &Supervisor,
     recorder: &Recorder,
-) -> Phase1 {
-    run_phase1_prescanned(prepared, config, supervisor, recorder, None)
-}
-
-/// Phase 1 for the incremental (`analyze_delta`) path: solves against a
-/// [`SummaryStore`] built for `prepared`, reconstructing the pointer
-/// solver's startup scan from the summaries instead of re-walking every
-/// instruction, and stamping the result with summary provenance
-/// ([`Phase1::summary_key`], [`Phase1::methods_resolved`]).
-///
-/// The fixpoint itself still runs over the whole program — that is what
-/// guarantees the result is byte-identical to a cold solve (see
-/// `docs/incremental.md` for what incrementality does and does not skip).
-/// `plan` sizes the provenance counters; it does not change the solution.
-pub fn run_phase1_incremental(
-    prepared: &PreparedProgram,
-    config: &TajConfig,
-    supervisor: &Supervisor,
-    recorder: &Recorder,
-    summaries: &SummaryStore,
-    plan: &DeltaPlan,
-) -> Phase1 {
-    let mut phase1 = run_phase1_prescanned(prepared, config, supervisor, recorder, Some(summaries));
-    phase1.summary_key = Some((summaries.program_fingerprint, summaries.methods.len()));
-    phase1.methods_resolved = plan.methods_resolved();
-    phase1
-}
-
-fn run_phase1_prescanned(
-    prepared: &PreparedProgram,
-    config: &TajConfig,
-    supervisor: &Supervisor,
-    recorder: &Recorder,
-    summaries: Option<&SummaryStore>,
 ) -> Phase1 {
     let program = &prepared.program;
     let mut phase_span = recorder.span("phase1");
@@ -449,11 +392,7 @@ fn run_phase1_prescanned(
         source_methods: prepared.rules.all_sources(program),
         supervisor: supervisor.clone(),
     };
-    let prescan = summaries.and_then(|s| s.to_prescan(program, &solver_cfg.source_methods));
-    let pts = match prescan {
-        Some(p) => taj_pointer::analyze_prescanned(program, &solver_cfg, recorder, p),
-        None => taj_pointer::analyze_traced(program, &solver_cfg, recorder),
-    };
+    let pts = taj_pointer::analyze_traced(program, &solver_cfg, recorder);
     let mut interrupted = pts.interrupted;
     let heap_span = recorder.span("phase1.heapgraph");
     let heap = HeapGraph::build(&pts);
@@ -486,17 +425,8 @@ fn run_phase1_prescanned(
             phase_span.attr("interrupted", reason.as_str());
         }
     }
-    Phase1 {
-        pointer_ms: phase_span.finish().as_millis(),
-        pts,
-        heap,
-        escape,
-        mhp,
-        interrupted,
-        summary_key: None,
-        methods_resolved: 0,
-        cg_key: (config.max_cg_nodes, config.priority),
-    }
+    phase_span.finish();
+    Phase1 { pts, heap, escape, mhp, interrupted, cg_key: (config.max_cg_nodes, config.priority) }
 }
 
 /// [`prepare`], but returning the program behind an [`Arc`] for callers
@@ -889,13 +819,11 @@ fn run_phase2(
         "phase-1 results were computed under different call-graph settings"
     );
     let program = &prepared.program;
-    // The `phase2` span measures the whole pass; its elapsed time is the
-    // single source for `stats.slice_ms`/`stats.total_ms` (an early-error
-    // return records it on drop).
+    // The `phase2` span measures the whole pass (an early-error return
+    // records it on drop).
     let mut phase_span = recorder.span("phase2");
     let pts = &phase1.pts;
     let heap = &phase1.heap;
-    let pointer_ms = phase1.pointer_ms;
     let threads = parallel::resolve_threads(threads);
 
     // ---- Phase 2: per-rule slicing (§3.2) + modeling + bounds (§6.2).
@@ -905,7 +833,6 @@ fn run_phase2(
         cg_edges: pts.stats.call_edges,
         instance_keys: pts.stats.instance_keys,
         pointer_keys: pts.stats.pointer_keys,
-        pointer_ms,
         cg_budget_exhausted: pts.budget_exhausted,
         ..Default::default()
     };
@@ -1186,11 +1113,7 @@ fn run_phase2(
             phase_span.attr("interrupted", reason.as_str());
         }
     }
-    // Spans are the single timing source: `slice_ms` is the measured
-    // `phase2` span, `total_ms` its sum with the phase-1 span.
-    let slice_elapsed = phase_span.finish();
-    stats.slice_ms = slice_elapsed.as_millis();
-    stats.total_ms = pointer_ms + slice_elapsed.as_millis();
+    phase_span.finish();
 
     let concurrency = ConcurrencyReport {
         spawn_sites: phase1.escape.num_spawn_sites(),
@@ -1332,24 +1255,9 @@ mod tests {
 
         // Exhaustive destructuring: a new `Phase1` field fails to compile
         // until it is audited for thread-count independence.
-        let Phase1 {
-            pts: _,
-            heap: _,
-            escape: _,
-            mhp: _,
-            pointer_ms: _,
-            interrupted,
-            summary_key,
-            methods_resolved,
-            cg_key,
-        } = &phase1;
+        let Phase1 { pts: _, heap: _, escape: _, mhp: _, interrupted, cg_key } = &phase1;
         assert!(interrupted.is_none());
         assert_eq!(*cg_key, (config.max_cg_nodes, config.priority));
-        // Summary provenance is observation metadata: plain runs carry
-        // none, and it must stay outside the `matches` validity domain
-        // (the solution is byte-identical to a cold solve regardless).
-        assert_eq!(*summary_key, None);
-        assert_eq!(*methods_resolved, 0);
 
         // `matches` accepts every config with the same call-graph
         // settings and rejects any config that differs in either

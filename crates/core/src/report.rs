@@ -9,18 +9,23 @@ use taj_obs::Recorder;
 use crate::driver::TajReport;
 use crate::rules::IssueType;
 
-/// Renders the `--profile` per-phase breakdown: headline timings from the
-/// report (whose `pointer_ms`/`slice_ms` are themselves span
-/// measurements) followed by the recorder's per-span aggregation — one
-/// line per span name with call count, total milliseconds, and summed
-/// numeric attributes.
+/// Renders the `--profile` per-phase breakdown: a headline with the
+/// recorder's `phase1` and `phase2` span totals followed by its per-span
+/// aggregation — one line per span name with call count, total
+/// milliseconds, and summed numeric attributes.
 pub fn profile_text(report: &TajReport, recorder: &Recorder) -> String {
     use std::fmt::Write as _;
+    let rows = recorder.aggregate();
+    let ms = |name: &str| {
+        rows.iter().filter(|r| r.name == name).map(|r| r.total_us).sum::<u64>() as f64 / 1000.0
+    };
+    let (phase1, phase2) = (ms("phase1"), ms("phase2"));
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "profile: {} — phase1 {} ms, phase2 {} ms, total {} ms",
-        report.config, report.stats.pointer_ms, report.stats.slice_ms, report.stats.total_ms
+        "profile: {} — phase1 {phase1:.3} ms, phase2 {phase2:.3} ms, total {:.3} ms",
+        report.config,
+        phase1 + phase2
     );
     out.push_str(&recorder.profile_text());
     out
@@ -32,11 +37,10 @@ pub fn to_text(report: &TajReport) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "{}: {} issue(s) from {} raw flow(s) in {} ms",
+        "{}: {} issue(s) from {} raw flow(s)",
         report.config,
         report.issue_count(),
-        report.flows.len(),
-        report.stats.total_ms
+        report.flows.len()
     );
     for f in &report.findings {
         let _ = writeln!(

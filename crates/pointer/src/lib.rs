@@ -47,7 +47,4 @@ pub use context::{ContextElem, ContextId, PolicyConfig, ROOT_CONTEXT};
 pub use escape::{spawn_edges, EscapeAnalysis, SpawnEdge};
 pub use heapgraph::HeapGraph;
 pub use keys::{InstanceKey, InstanceKeyId, PointerKey, PointerKeyId, Site};
-pub use solver::{
-    analyze, analyze_prescanned, analyze_traced, InvokeBinding, PointsTo, PreScan, SolverConfig,
-    SolverStats,
-};
+pub use solver::{analyze, analyze_traced, InvokeBinding, PointsTo, SolverConfig, SolverStats};

@@ -120,19 +120,6 @@ pub struct AnalyzeRequest {
     pub trace_parent: Option<String>,
 }
 
-/// A parsed `analyze_delta` request: a normal analyze field set plus the
-/// `base_source` the daemon diffs against. The base identifies which
-/// cached summary store (and phase-1 artifacts) to reuse; the *result*
-/// is always for `request.source` and is byte-identical to what a plain
-/// `analyze` of that source would return.
-#[derive(Clone, Debug)]
-pub struct AnalyzeDeltaRequest {
-    /// jweb source text of the base program (the pre-edit version).
-    pub base_source: String,
-    /// The analyze request proper, for the edited source.
-    pub request: AnalyzeRequest,
-}
-
 /// A parsed `batch` request: every item decoded independently, so one
 /// malformed item becomes that item's error response instead of
 /// failing the envelope (the same isolation analysis failures get).
@@ -149,12 +136,6 @@ pub struct BatchRequest {
 pub enum Command {
     /// Run (or serve from cache) a taint analysis.
     Analyze(AnalyzeRequest),
-    /// Incremental re-analysis: diff the edited source against a base
-    /// program's per-method summaries and re-solve only the dirty
-    /// region. Result bytes are identical to a plain `analyze` of the
-    /// edited source; the work saved is reported in the envelope's
-    /// `delta` object.
-    AnalyzeDelta(AnalyzeDeltaRequest),
     /// Run N analyses from one envelope, answered by one ordered
     /// response envelope with per-item status.
     Batch(BatchRequest),
@@ -312,12 +293,6 @@ pub fn parse_request(line: &str, debug: bool) -> Result<Request, ProtocolError> 
     let cmd = get_str(&value, "cmd")?.ok_or_else(|| bad("missing `cmd` field"))?;
     let command = match cmd.as_str() {
         "analyze" => Command::Analyze(parse_analyze_body(&value, &["id", "cmd"])?),
-        "analyze_delta" => {
-            let request = parse_analyze_body(&value, &["id", "cmd", "base_source"])?;
-            let base_source =
-                get_str(&value, "base_source")?.ok_or_else(|| bad("missing `base_source`"))?;
-            Command::AnalyzeDelta(AnalyzeDeltaRequest { base_source, request })
-        }
         "batch" => {
             check_fields(&value, &["id", "cmd", "items", "timeout_ms"])?;
             let timeout_ms = get_u64(&value, "timeout_ms")?;
@@ -435,27 +410,6 @@ pub fn ok_response_raw_traced(id: &Value, trace_id: &str, raw_result: &str) -> S
         "{{\"id\":{},\"ok\":true,\"trace_id\":{},\"result\":{}}}",
         id_json(id),
         trace_id_json(trace_id),
-        raw_result
-    )
-}
-
-/// [`ok_response_raw_traced`] with an additional `delta` object in the
-/// envelope, used by `analyze_delta` responses. The delta metadata
-/// (dirty/re-solved counts, artifact provenance) lives *outside*
-/// `result` for the same reason `trace_id` does: the result bytes must
-/// stay byte-par with a plain `analyze` of the same source, cache hits
-/// included. `delta_json` is an already-serialized JSON object.
-pub fn ok_response_raw_traced_delta(
-    id: &Value,
-    trace_id: &str,
-    delta_json: &str,
-    raw_result: &str,
-) -> String {
-    format!(
-        "{{\"id\":{},\"ok\":true,\"trace_id\":{},\"delta\":{},\"result\":{}}}",
-        id_json(id),
-        trace_id_json(trace_id),
-        delta_json,
         raw_result
     )
 }
@@ -598,6 +552,13 @@ mod tests {
         assert_eq!(e.0, ErrorCode::BadRequest);
         let e = parse_request(r#"{"cmd": "frobnicate"}"#, false).unwrap_err();
         assert_eq!(e.0, ErrorCode::UnknownCommand);
+        // The retired incremental command is unknown, not half-parsed.
+        let e = parse_request(
+            r#"{"cmd":"analyze_delta","base_source":"class A {}","source":"class A {}"}"#,
+            false,
+        )
+        .unwrap_err();
+        assert_eq!(e.0, ErrorCode::UnknownCommand);
         let e = parse_request("{oops", false).unwrap_err();
         assert_eq!(e.0, ErrorCode::BadRequest);
         let e = parse_request("[1,2]", false).unwrap_err();
@@ -732,65 +693,6 @@ mod tests {
         assert_eq!(stamp_trace("{}", "t", "p"), r#"{"trace":{"trace_id":"t","parent":"p"}}"#);
         assert_eq!(stamp_trace("not json", "t", "p"), "not json");
         assert_eq!(stamp_trace("[1]", "t", "p"), "[1]");
-    }
-
-    #[test]
-    fn analyze_delta_parses_strictly() {
-        let r = parse_request(
-            r#"{"id":1,"cmd":"analyze_delta","base_source":"class A {}","source":"class A { field int x; }","config":"cs","degrade":true}"#,
-            false,
-        )
-        .expect("parses");
-        match r.command {
-            Command::AnalyzeDelta(d) => {
-                assert_eq!(d.base_source, "class A {}");
-                assert_eq!(d.request.source, "class A { field int x; }");
-                assert_eq!(d.request.config, "cs");
-                assert!(d.request.degrade);
-            }
-            other => panic!("wrong command: {other:?}"),
-        }
-        // base_source is mandatory …
-        let e = parse_request(r#"{"cmd":"analyze_delta","source":"x"}"#, false).unwrap_err();
-        assert_eq!(e.0, ErrorCode::BadRequest);
-        // … must be a string …
-        let e = parse_request(r#"{"cmd":"analyze_delta","source":"x","base_source":3}"#, false)
-            .unwrap_err();
-        assert_eq!(e.0, ErrorCode::BadRequest);
-        // … and the field set stays strict.
-        let e = parse_request(
-            r#"{"cmd":"analyze_delta","source":"x","base_source":"y","bogus":1}"#,
-            false,
-        )
-        .unwrap_err();
-        assert_eq!(e.0, ErrorCode::BadRequest);
-        // Plain analyze does NOT accept base_source.
-        let e = parse_request(r#"{"cmd":"analyze","source":"x","base_source":"y"}"#, false)
-            .unwrap_err();
-        assert_eq!(e.0, ErrorCode::BadRequest);
-    }
-
-    #[test]
-    fn delta_envelope_keeps_result_bytes_par_with_analyze() {
-        let raw = "{\"findings\":[]}";
-        let plain = ok_response_raw_traced(&Value::UInt(3), "t-1", raw);
-        let delta = ok_response_raw_traced_delta(
-            &Value::UInt(3),
-            "t-1",
-            "{\"methods_resolved\":2,\"methods_total\":10}",
-            raw,
-        );
-        let vp = serde_json::from_str(&plain).unwrap();
-        let vd = serde_json::from_str(&delta).unwrap();
-        // The `result` value is spliced identically; only the envelope
-        // grows a `delta` object.
-        assert_eq!(
-            serde_json::to_string(&vp["result"]).unwrap(),
-            serde_json::to_string(&vd["result"]).unwrap()
-        );
-        assert_eq!(vd["delta"]["methods_resolved"], 2u64);
-        assert_eq!(vd["delta"]["methods_total"], 10u64);
-        assert_eq!(vd["trace_id"], "t-1");
     }
 
     #[test]

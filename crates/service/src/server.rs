@@ -20,9 +20,8 @@ use std::time::{Duration, Instant};
 
 use serde::Value;
 use taj_core::{
-    analyze_with_phase1_opts, parse_rules, prepare, run_phase1_incremental, run_phase1_traced,
-    Phase1, PreparedProgram, Recorder, RuleSet, RunOptions, SummaryStore, Supervisor, TajConfig,
-    TajError,
+    analyze_with_phase1_opts, parse_rules, prepare, run_phase1_traced, Recorder, RuleSet,
+    RunOptions, Supervisor, TajConfig, TajError,
 };
 
 use taj_obs::metrics::{Exposition, Histogram};
@@ -30,15 +29,15 @@ use taj_obs::{AttrValue, FlightRecorder, RequestRecord, TraceEvent};
 use taj_store::DiskStore;
 
 use crate::cache::{
-    content_hash, phase1_bytes, prepared_bytes, summary_bytes, Artifact, ArtifactCache,
-    ArtifactKey, TierStats, TIER_NAMES,
+    content_hash, phase1_bytes, prepared_bytes, Artifact, ArtifactCache, ArtifactKey, TierStats,
+    TIER_NAMES,
 };
 use crate::pool::{Job, WorkerPool};
 use crate::protocol::{
     batch_item_err, batch_item_err_retry, batch_item_ok, batch_result_raw, err_response,
     err_response_retry, err_response_traced_retry, ok_response_raw, ok_response_raw_traced,
-    ok_response_raw_traced_delta, parse_request, AnalyzeDeltaRequest, AnalyzeRequest, BatchRequest,
-    Command, ErrorCode, OutputFormat, ProtocolError, PROTOCOL_VERSION,
+    parse_request, AnalyzeRequest, BatchRequest, Command, ErrorCode, OutputFormat, ProtocolError,
+    PROTOCOL_VERSION,
 };
 
 /// Where the daemon listens.
@@ -156,16 +155,6 @@ struct ServiceCounters {
     phase2_runs: AtomicU64,
     degraded_runs: AtomicU64,
     requests_shed: AtomicU64,
-    delta_requests: AtomicU64,
-    /// `analyze_delta` requests whose empty edit region let them reuse
-    /// the base program's phase-1 artifact outright.
-    delta_phase1_reused: AtomicU64,
-    /// Method summaries re-solved across all `analyze_delta` requests.
-    delta_methods_resolved: AtomicU64,
-    /// Method summaries total (resolved + reused) across all
-    /// `analyze_delta` requests; the resolved/total ratio is the work
-    /// the incremental path saved.
-    delta_methods_total: AtomicU64,
 }
 
 /// Server state shared between the accept loop, handlers, and workers.
@@ -461,62 +450,6 @@ fn handle_line(line: &str, state: &Arc<ServiceState>) -> (String, bool) {
             return match outcome {
                 Ok(raw) => {
                     let line = ok_response_raw_traced(&id, &trace_id, &raw);
-                    capture_flight(
-                        state,
-                        &rec,
-                        &trace_id,
-                        parent.as_deref(),
-                        threads,
-                        started,
-                        "ok",
-                        None,
-                    );
-                    (line, false)
-                }
-                Err((code, msg)) => {
-                    state.counters.errors.fetch_add(1, Ordering::SeqCst);
-                    if code == ErrorCode::Timeout {
-                        state.counters.timeouts.fetch_add(1, Ordering::SeqCst);
-                    }
-                    let hint = shed_retry_hint(state, code);
-                    let line = err_response_traced_retry(&id, &trace_id, code, &msg, hint);
-                    capture_flight(
-                        state,
-                        &rec,
-                        &trace_id,
-                        parent.as_deref(),
-                        threads,
-                        started,
-                        outcome_of(code),
-                        Some(code),
-                    );
-                    (line, false)
-                }
-            };
-        }
-        Command::AnalyzeDelta(req) => {
-            state.counters.delta_requests.fetch_add(1, Ordering::SeqCst);
-            let trace_id = req.request.trace_id.clone().unwrap_or_else(|| mint_trace_id(state));
-            let parent = req.request.trace_parent.clone();
-            let threads = req.request.threads;
-            let timeout_ms = req.request.timeout_ms.or(state.default_timeout_ms);
-            let rec = request_recorder(state);
-            let started = Instant::now();
-            // The envelope needs both the result and the delta metadata,
-            // so the job builds the full response line itself (the
-            // result bytes inside it stay byte-par with plain `analyze`).
-            let outcome = dispatch(state, timeout_ms, rec.clone(), {
-                let state = Arc::clone(state);
-                let id = id.clone();
-                let trace_id = trace_id.clone();
-                let rec = rec.clone();
-                move |sup: &Supervisor| {
-                    let (delta, raw) = run_analyze_delta(&state, &req, sup, &rec)?;
-                    Ok(ok_response_raw_traced_delta(&id, &trace_id, &delta, &raw))
-                }
-            });
-            return match outcome {
-                Ok(line) => {
                     capture_flight(
                         state,
                         &rec,
@@ -1120,24 +1053,7 @@ fn run_analyze(
         }
     };
 
-    finish_analyze(state, req, supervisor, rec, &config, &prepared, &phase1, report_key, &disk_key)
-}
-
-/// The shared back half of [`run_analyze`] and [`run_analyze_delta`]:
-/// phase 2, serialization, and deterministic-only report caching. Phase 2
-/// always runs on a report-cache miss; it is the cheap half.
-#[allow(clippy::too_many_arguments)]
-fn finish_analyze(
-    state: &Arc<ServiceState>,
-    req: &AnalyzeRequest,
-    supervisor: &Supervisor,
-    rec: &Recorder,
-    config: &TajConfig,
-    prepared: &Arc<PreparedProgram>,
-    phase1: &Arc<Phase1>,
-    report_key: ArtifactKey,
-    disk_key: &str,
-) -> Result<String, ProtocolError> {
+    // Phase 2 always runs on a report-cache miss; it is the cheap half.
     let opts = RunOptions {
         supervisor: supervisor.clone(),
         degrade: req.degrade,
@@ -1145,7 +1061,7 @@ fn finish_analyze(
         recorder: rec.clone(),
     };
     let report =
-        analyze_with_phase1_opts(prepared, phase1, config, &opts).map_err(|e| match e {
+        analyze_with_phase1_opts(&prepared, &phase1, &config, &opts).map_err(|e| match e {
             TajError::OutOfMemory { path_edges } => (
                 ErrorCode::OutOfMemory,
                 format!("analysis ran out of memory budget ({path_edges} path edges)"),
@@ -1176,10 +1092,9 @@ fn finish_analyze(
     if deterministic {
         let bytes = serialized.len();
         // Identical requests can race to this point (e.g. a batch
-        // carrying the same program twice): both miss the report cache,
-        // both compute, and their timing fields differ. First writer
-        // wins — the loser returns the winner's bytes so repeats stay
-        // byte-identical regardless of interleaving.
+        // carrying the same program twice): both miss the report cache
+        // and both compute the same bytes. First writer wins, so the
+        // store is written once.
         let mut cache = lock_cache(state)?;
         if let Some(Artifact::Report(existing)) = cache.peek(&report_key) {
             return Ok((*existing).clone());
@@ -1187,231 +1102,10 @@ fn finish_analyze(
         cache.insert(report_key, Artifact::Report(Arc::new(serialized.clone())), bytes);
         drop(cache);
         if let Some(store) = &state.store {
-            store.put(disk_key, &serialized);
+            store.put(&disk_key, &serialized);
         }
     }
     Ok(serialized)
-}
-
-/// Renders the `delta` envelope object: where phase 1 came from and how
-/// much summary work the incremental path re-solved vs. reused.
-fn delta_value(source: &str, phase1_reused: bool, resolved: usize, total: usize) -> String {
-    format!(
-        "{{\"source\":\"{source}\",\"phase1_reused\":{phase1_reused},\
-         \"methods_resolved\":{resolved},\"methods_total\":{total}}}"
-    )
-}
-
-/// The incremental pipeline behind `analyze_delta`: summarize the base
-/// program per method, diff the edited program against those summaries,
-/// and reuse whatever the delta plan proves still valid — up to the
-/// whole phase-1 artifact when the edit region is empty. Returns the
-/// `delta` envelope object plus the serialized result; the result bytes
-/// are byte-identical to what a plain `analyze` of the edited source
-/// would return.
-fn run_analyze_delta(
-    state: &Arc<ServiceState>,
-    req: &AnalyzeDeltaRequest,
-    supervisor: &Supervisor,
-    rec: &Recorder,
-) -> Result<(String, String), ProtocolError> {
-    let areq = &req.request;
-    let config = TajConfig::by_name(&areq.config)
-        .ok_or_else(|| (ErrorCode::UnknownConfig, format!("unknown config `{}`", areq.config)))?;
-    let src = content_hash(areq.source.as_bytes());
-    let base_src = content_hash(req.base_source.as_bytes());
-    let rules_hash = areq.rules.as_ref().map_or(0, |r| content_hash(r.as_bytes()));
-
-    // A cached report for the *edited* source answers immediately — no
-    // summary work to report, because none ran.
-    let report_key = ArtifactKey::Report {
-        src,
-        rules: rules_hash,
-        config: config.name.to_string(),
-        format: areq.format,
-        degrade: areq.degrade,
-    };
-    let cached_report = lock_cache(state)?.get(&report_key);
-    probe_event(rec, "report", matches!(&cached_report, Some(Artifact::Report(_))));
-    if let Some(Artifact::Report(cached)) = cached_report {
-        return Ok((delta_value("report-cache", false, 0, 0), (*cached).clone()));
-    }
-    let disk_key = format!(
-        "report:{src:032x}:{rules_hash:032x}:{}:{:?}:{}",
-        config.name, areq.format, areq.degrade
-    );
-    if let Some(store) = &state.store {
-        let disk_hit = store.get(&disk_key);
-        probe_event(rec, "disk", disk_hit.is_some());
-        if let Some(serialized) = disk_hit {
-            let bytes = serialized.len();
-            lock_cache(state)?.insert(
-                report_key,
-                Artifact::Report(Arc::new(serialized.clone())),
-                bytes,
-            );
-            return Ok((delta_value("report-cache", false, 0, 0), serialized));
-        }
-    }
-
-    let parse_ruleset = || match &areq.rules {
-        Some(text) => parse_rules(text).map_err(|e| (ErrorCode::BadRules, e.to_string())),
-        None => Ok(RuleSet::default_rules()),
-    };
-    let prepare_source = |source: &str,
-                          key: ArtifactKey,
-                          len: usize|
-     -> Result<Arc<PreparedProgram>, ProtocolError> {
-        let cached = lock_cache(state)?.get(&key);
-        match cached {
-            Some(Artifact::Prepared(p)) => Ok(p),
-            _ => {
-                let p = prepare(source, None, parse_ruleset()?).map_err(|e| match e {
-                    TajError::Parse(p) => (ErrorCode::ParseError, p.to_string()),
-                    other => (ErrorCode::ParseError, other.to_string()),
-                })?;
-                state.counters.prepare_runs.fetch_add(1, Ordering::SeqCst);
-                let p = Arc::new(p);
-                lock_cache(state)?.insert(
-                    key,
-                    Artifact::Prepared(Arc::clone(&p)),
-                    prepared_bytes(len),
-                );
-                Ok(p)
-            }
-        }
-    };
-
-    // Base summaries, from the summary tier when a previous delta (or a
-    // chained edit, which inserted its *edited* store under this key)
-    // already built them. Summaries are rendered from the prepared
-    // program, so the whitelist baked in by `prepare` is part of the key.
-    let base_summary_key = ArtifactKey::Summary { src: base_src, rules: rules_hash };
-    let cached_summaries = lock_cache(state)?.get(&base_summary_key);
-    probe_event(rec, "summary", matches!(&cached_summaries, Some(Artifact::Summary(_))));
-    let base_summaries = match cached_summaries {
-        Some(Artifact::Summary(s)) => s,
-        _ => {
-            let base_prepared_key = ArtifactKey::Prepared { src: base_src, rules: rules_hash };
-            let base_prepared =
-                prepare_source(&req.base_source, base_prepared_key, req.base_source.len())?;
-            let s = Arc::new(SummaryStore::build(&base_prepared.program));
-            let bytes = summary_bytes(&s);
-            lock_cache(state)?.insert(base_summary_key, Artifact::Summary(Arc::clone(&s)), bytes);
-            s
-        }
-    };
-
-    // The edited program and its delta plan against the base summaries.
-    let prepared_key = ArtifactKey::Prepared { src, rules: rules_hash };
-    let prepared = prepare_source(&areq.source, prepared_key, areq.source.len())?;
-    let (edited_store, plan) = SummaryStore::build_delta(&prepared.program, &base_summaries);
-    let edited_store = Arc::new(edited_store);
-    // Cache the edited store under its own source hash so a *chain* of
-    // edits diffs each step against its immediate predecessor warm.
-    let bytes = summary_bytes(&edited_store);
-    lock_cache(state)?.insert(
-        ArtifactKey::Summary { src, rules: rules_hash },
-        Artifact::Summary(Arc::clone(&edited_store)),
-        bytes,
-    );
-    state.counters.delta_methods_total.fetch_add(plan.methods_total as u64, Ordering::SeqCst);
-
-    // Phase 1: the edited source's own cache entry beats everything;
-    // otherwise an empty edit region whose programs fingerprint-equal
-    // lets the base artifact stand in wholesale; otherwise re-solve the
-    // dirty region (the summaries still prime the solver's startup scan).
-    let phase1_key = ArtifactKey::Phase1 {
-        src,
-        rules: rules_hash,
-        max_cg_nodes: config.max_cg_nodes,
-        priority: config.priority,
-    };
-    let cached_phase1 = lock_cache(state)?.get(&phase1_key);
-    let mut phase1: Option<Arc<Phase1>> = None;
-    let mut prepared_for_slice = Arc::clone(&prepared);
-    let mut source = "cache";
-    let mut reused_base = false;
-    if let Some(Artifact::Phase1(p)) = cached_phase1 {
-        if p.matches(&config) {
-            phase1 = Some(p);
-        }
-    }
-    probe_event(rec, "phase1", phase1.is_some());
-    if phase1.is_none()
-        && plan.region_empty()
-        && edited_store.program_fingerprint == base_summaries.program_fingerprint
-    {
-        // Fingerprint equality means the two programs interned to
-        // identical IDs, so the base phase-1 artifact *is* the edited
-        // program's phase-1 artifact. Slice against the base prepared
-        // program so phase 1 and the program it references stay one
-        // consistent pair.
-        let base_phase1_key = ArtifactKey::Phase1 {
-            src: base_src,
-            rules: rules_hash,
-            max_cg_nodes: config.max_cg_nodes,
-            priority: config.priority,
-        };
-        let base_hit = lock_cache(state)?.get(&base_phase1_key);
-        if let Some(Artifact::Phase1(p)) = base_hit {
-            if p.matches(&config) && p.interrupted.is_none() {
-                let bytes = phase1_bytes(&p);
-                lock_cache(state)?.insert(
-                    phase1_key.clone(),
-                    Artifact::Phase1(Arc::clone(&p)),
-                    bytes,
-                );
-                let base_prepared_key = ArtifactKey::Prepared { src: base_src, rules: rules_hash };
-                prepared_for_slice =
-                    prepare_source(&req.base_source, base_prepared_key, req.base_source.len())?;
-                phase1 = Some(p);
-                source = "reused-base";
-                reused_base = true;
-                state.counters.delta_phase1_reused.fetch_add(1, Ordering::SeqCst);
-            }
-        }
-    }
-    let resolved = match &phase1 {
-        Some(_) => 0,
-        None => plan.methods_resolved(),
-    };
-    let phase1 = match phase1 {
-        Some(p) => p,
-        None => {
-            let p = Arc::new(run_phase1_incremental(
-                &prepared,
-                &config,
-                supervisor,
-                rec,
-                &edited_store,
-                &plan,
-            ));
-            state.counters.phase1_runs.fetch_add(1, Ordering::SeqCst);
-            source = "solved";
-            // An interrupted phase 1 is a deadline artifact, not a
-            // property of the input: never cache it.
-            if p.interrupted.is_none() {
-                let bytes = phase1_bytes(&p);
-                lock_cache(state)?.insert(phase1_key, Artifact::Phase1(Arc::clone(&p)), bytes);
-            }
-            p
-        }
-    };
-    state.counters.delta_methods_resolved.fetch_add(resolved as u64, Ordering::SeqCst);
-
-    let serialized = finish_analyze(
-        state,
-        areq,
-        supervisor,
-        rec,
-        &config,
-        &prepared_for_slice,
-        &phase1,
-        report_key,
-        &disk_key,
-    )?;
-    Ok((delta_value(source, reused_base, resolved, plan.methods_total), serialized))
 }
 
 fn lock_cache(
@@ -1524,19 +1218,6 @@ fn stats_raw(state: &Arc<ServiceState>) -> Result<String, ProtocolError> {
     o.insert("phase1_runs", Value::UInt(u128::from(c.phase1_runs.load(Ordering::SeqCst))));
     o.insert("phase2_runs", Value::UInt(u128::from(c.phase2_runs.load(Ordering::SeqCst))));
     o.insert("degraded_runs", Value::UInt(u128::from(c.degraded_runs.load(Ordering::SeqCst))));
-    o.insert("delta_requests", Value::UInt(u128::from(c.delta_requests.load(Ordering::SeqCst))));
-    o.insert(
-        "delta_phase1_reused",
-        Value::UInt(u128::from(c.delta_phase1_reused.load(Ordering::SeqCst))),
-    );
-    o.insert(
-        "delta_methods_resolved",
-        Value::UInt(u128::from(c.delta_methods_resolved.load(Ordering::SeqCst))),
-    );
-    o.insert(
-        "delta_methods_total",
-        Value::UInt(u128::from(c.delta_methods_total.load(Ordering::SeqCst))),
-    );
     let mut cache_o = Value::object();
     cache_o.insert("hits", Value::UInt(u128::from(cache.hits)));
     cache_o.insert("misses", Value::UInt(u128::from(cache.misses)));
@@ -1549,7 +1230,6 @@ fn stats_raw(state: &Arc<ServiceState>) -> Result<String, ProtocolError> {
     tiers_o.insert("prepared", tier_value(&tiers.prepared));
     tiers_o.insert("phase1", tier_value(&tiers.phase1));
     tiers_o.insert("report", tier_value(&tiers.report));
-    tiers_o.insert("summary", tier_value(&tiers.summary));
     o.insert("cache_tiers", tiers_o);
     let mut store_o = Value::object();
     match &state.store {
@@ -1592,11 +1272,10 @@ fn metrics_exposition(state: &Arc<ServiceState>) -> Result<String, ProtocolError
         let guard = lock_cache(state)?;
         (guard.stats(), guard.tier_stats())
     };
-    let tier_stats: [(TierStats, &str); 4] = [
+    let tier_stats: [(TierStats, &str); 3] = [
         (tiers.prepared, TIER_NAMES[0]),
         (tiers.phase1, TIER_NAMES[1]),
         (tiers.report, TIER_NAMES[2]),
-        (tiers.summary, TIER_NAMES[3]),
     ];
     let mut exp = Exposition::new();
     exp.family("taj_uptime_seconds", "Seconds since the daemon started.", "gauge");
@@ -1620,7 +1299,7 @@ fn metrics_exposition(state: &Arc<ServiceState>) -> Result<String, ProtocolError
     exp.sample("taj_max_queue", &[], state.max_queue as f64);
     exp.family("taj_queue_depth", "Jobs submitted but not yet picked up by a worker.", "gauge");
     exp.sample("taj_queue_depth", &[], state.queue_depth.load(Ordering::SeqCst) as f64);
-    let counters: [(&str, &str, u64); 16] = [
+    let counters: [(&str, &str, u64); 12] = [
         ("taj_requests_total", "Requests received.", c.requests.load(Ordering::SeqCst)),
         (
             "taj_requests_shed_total",
@@ -1668,26 +1347,6 @@ fn metrics_exposition(state: &Arc<ServiceState>) -> Result<String, ProtocolError
             "taj_degraded_runs_total",
             "Analyses that degraded down the precision ladder.",
             c.degraded_runs.load(Ordering::SeqCst),
-        ),
-        (
-            "taj_delta_requests_total",
-            "Incremental (analyze_delta) requests received.",
-            c.delta_requests.load(Ordering::SeqCst),
-        ),
-        (
-            "taj_delta_phase1_reused_total",
-            "Incremental requests that reused the base phase-1 artifact.",
-            c.delta_phase1_reused.load(Ordering::SeqCst),
-        ),
-        (
-            "taj_delta_methods_resolved_total",
-            "Method summaries re-solved by incremental requests.",
-            c.delta_methods_resolved.load(Ordering::SeqCst),
-        ),
-        (
-            "taj_delta_methods_total",
-            "Method summaries seen (resolved + reused) by incremental requests.",
-            c.delta_methods_total.load(Ordering::SeqCst),
         ),
     ];
     for (name, help, value) in counters {

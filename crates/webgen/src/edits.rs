@@ -1,5 +1,6 @@
-//! Deterministic edit operations over generated benchmark sources — the
-//! input half of the incremental-analysis harness.
+//! Deterministic edit operations over generated benchmark sources: the
+//! edit chains a daemon workload replays to model a developer saving
+//! successive versions of one program.
 //!
 //! Each operation takes a jweb source and a seed and produces an edited
 //! source (or `None` when the operation does not apply, e.g. removing a
@@ -8,27 +9,25 @@
 //! every filler class carries a chain of `method int m<k>(int depth)`
 //! methods, so the edits land on known lines without a parser.
 //!
-//! The operations cover the structural-diff taxonomy the incremental
-//! analysis distinguishes:
+//! The operations cover the usual kinds of source change:
 //!
-//! - [`EditKind::Comment`] — textual change, empty edit region;
-//! - [`EditKind::Body`] — one method body changes; its callers join the
-//!   dirty region through the dependency graph;
+//! - [`EditKind::Comment`] — textual change, no method changes;
+//! - [`EditKind::Body`] — one method body changes;
 //! - [`EditKind::AddClass`] — methods appear;
 //! - [`EditKind::RemoveClass`] — methods disappear;
-//! - [`EditKind::Signature`] — a method's arity changes: the old summary
-//!   key is removed and a new one added, and the in-class caller is
-//!   patched to match (so the edit is a genuine multi-method change).
+//! - [`EditKind::Signature`] — a method's arity changes, and the in-class
+//!   caller is patched to match (so the edit is a genuine multi-method
+//!   change).
 //!
-//! Everything here is deterministic in `(source, kind, seed)` — the
-//! differential tests rely on replaying identical edit sequences.
+//! Everything here is deterministic in `(source, kind, seed)` — replays
+//! of one seed send identical edit sequences.
 
 use std::fmt;
 
 /// One kind of structural edit.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EditKind {
-    /// Append a trailing comment: no summary changes at all.
+    /// Append a trailing comment: no method changes at all.
     Comment,
     /// Insert a statement into one filler method body.
     Body,

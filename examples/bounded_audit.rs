@@ -31,6 +31,7 @@ fn main() {
     );
     println!("{}", "-".repeat(80));
     for config in TajConfig::all() {
+        let started = std::time::Instant::now();
         match analyze_prepared(&prepared, &config) {
             Ok(report) => {
                 let s = score(&report, &bench.truth);
@@ -42,7 +43,7 @@ fn main() {
                     s.false_positives,
                     s.false_negatives,
                     report.stats.cg_nodes,
-                    report.stats.total_ms,
+                    started.elapsed().as_millis(),
                     if report.stats.cg_budget_exhausted { "yes" } else { "no" },
                 );
             }

@@ -47,7 +47,7 @@ fn main() -> Result<(), taj::TajError> {
     println!("\nAnalysis statistics:");
     println!("  call-graph nodes : {}", report.stats.cg_nodes);
     println!("  abstract objects : {}", report.stats.instance_keys);
-    println!("  pointer phase    : {} ms", report.stats.pointer_ms);
-    println!("  slicing phase    : {} ms", report.stats.slice_ms);
+    println!("  slicer work      : {}", report.stats.slicer_work);
+    println!("  heap transitions : {}", report.stats.heap_transitions);
     Ok(())
 }

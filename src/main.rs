@@ -10,7 +10,7 @@
 //! taj router (--socket PATH | --tcp ADDR) --shard ADDR [--shard ADDR ...] [--timeout-ms N]
 //!            [--failure-threshold N] [--cooldown-ms N] [--flight-records N] [--trace-out FILE]
 //! taj client (--socket PATH | --tcp ADDR) analyze <file.jweb> [--config NAME] [--sarif]
-//!            [--timeout-ms N] [--degrade] [--threads N] [--delta <base.jweb>] [--trace-id ID]
+//!            [--timeout-ms N] [--degrade] [--threads N] [--trace-id ID]
 //! taj client (--socket PATH | --tcp ADDR) analyze --batch <file.jweb> [<file.jweb> ...]
 //! taj client (--socket PATH | --tcp ADDR) trace <trace-id> [--trace-out FILE]
 //! taj client (--socket PATH | --tcp ADDR) last-traces [--limit N]
@@ -21,8 +21,9 @@
 //! error instead of silently ignored, matching the daemon protocol's
 //! strictness (a typo must fail loudly, not change semantics).
 
+use std::fmt::Write as _;
+use std::io::Write as _;
 use std::process::ExitCode;
-
 use std::time::Duration;
 
 use taj::core::{analyze_source_opts, RuleSet, RunOptions, Supervisor, TajConfig, TajError};
@@ -71,7 +72,7 @@ fn main() -> ExitCode {
                 "       taj router (--socket PATH | --tcp ADDR) --shard ADDR [--shard ADDR ...] [--timeout-ms N] [--failure-threshold N] [--cooldown-ms N] [--flight-records N] [--trace-out FILE]"
             );
             eprintln!(
-                "       taj client (--socket PATH | --tcp ADDR) analyze <file.jweb> [--config NAME] [--rules FILE] [--sarif] [--timeout-ms N] [--degrade] [--threads N] [--delta <base.jweb>] [--trace-id ID]"
+                "       taj client (--socket PATH | --tcp ADDR) analyze <file.jweb> [--config NAME] [--rules FILE] [--sarif] [--timeout-ms N] [--degrade] [--threads N] [--trace-id ID]"
             );
             eprintln!(
                 "       taj client (--socket PATH | --tcp ADDR) analyze --batch <file.jweb> [<file.jweb> ...]"
@@ -441,7 +442,6 @@ fn client_cmd(args: &[String]) -> ExitCode {
         flag("degrade"),
         opt("threads"),
         flag("batch"),
-        opt("delta"),
         opt("limit"),
         opt("trace-out"),
         opt("trace-id"),
@@ -513,9 +513,6 @@ fn client_cmd(args: &[String]) -> ExitCode {
                 trace_id: parsed.value("trace-id").map(str::to_string),
             };
             if parsed.has("batch") {
-                if parsed.value("delta").is_some() {
-                    return usage_error("`--delta` and `--batch` are mutually exclusive");
-                }
                 // One envelope, one response: every input file becomes an
                 // item sharing the command-line options; `--timeout-ms`
                 // becomes the envelope-wide deadline.
@@ -527,16 +524,10 @@ fn client_cmd(args: &[String]) -> ExitCode {
                     }
                 }
                 return match client.batch(&items, timeout_ms) {
-                    Ok(value) => {
-                        match serde_json::to_string_pretty(&value) {
-                            Ok(s) => println!("{s}"),
-                            Err(e) => {
-                                eprintln!("error: cannot render response: {e}");
-                                return ExitCode::FAILURE;
-                            }
-                        }
-                        batch_exit_code(&value)
-                    }
+                    Ok(value) => match print_json(&value) {
+                        Ok(()) => batch_exit_code(&value),
+                        Err(code) => code,
+                    },
                     Err(e) => {
                         eprintln!("error: {e}");
                         ExitCode::FAILURE
@@ -552,24 +543,7 @@ fn client_cmd(args: &[String]) -> ExitCode {
                 Ok(s) => s,
                 Err(code) => return code,
             };
-            match parsed.value("delta") {
-                Some(base_path) => {
-                    let base_source = match read_file(base_path, "base input") {
-                        Ok(s) => s,
-                        Err(code) => return code,
-                    };
-                    client.analyze_delta(&base_source, &source, &opts).map(|(result, delta)| {
-                        // Delta metadata goes to stderr so stdout stays
-                        // byte-par with a plain `analyze` of the same
-                        // file — pipelines never see the difference.
-                        if let Ok(d) = serde_json::to_string(&delta) {
-                            eprintln!("delta: {d}");
-                        }
-                        result
-                    })
-                }
-                None => client.analyze(&source, &opts),
-            }
+            client.analyze(&source, &opts)
         }
         Some("trace") => {
             let Some(trace_id) = parsed.positionals.get(1) else {
@@ -597,10 +571,10 @@ fn client_cmd(args: &[String]) -> ExitCode {
                                 ExitCode::FAILURE
                             }
                         },
-                        None => {
-                            println!("{stitched}");
-                            ExitCode::SUCCESS
-                        }
+                        None => match write_stdout(&format!("{stitched}\n")) {
+                            Ok(()) => ExitCode::SUCCESS,
+                            Err(code) => code,
+                        },
                     }
                 }
                 Err(e) => {
@@ -624,10 +598,10 @@ fn client_cmd(args: &[String]) -> ExitCode {
         Some("metrics") => {
             // Prometheus text exposition: print verbatim, not JSON-wrapped.
             return match client.metrics() {
-                Ok(text) => {
-                    print!("{text}");
-                    ExitCode::SUCCESS
-                }
+                Ok(text) => match write_stdout(&text) {
+                    Ok(()) => ExitCode::SUCCESS,
+                    Err(code) => code,
+                },
                 Err(e) => {
                     eprintln!("error: {e}");
                     ExitCode::FAILURE
@@ -644,12 +618,8 @@ fn client_cmd(args: &[String]) -> ExitCode {
     };
     match result {
         Ok(value) => {
-            match serde_json::to_string_pretty(&value) {
-                Ok(s) => println!("{s}"),
-                Err(e) => {
-                    eprintln!("error: cannot render response: {e}");
-                    return ExitCode::FAILURE;
-                }
+            if let Err(code) = print_json(&value) {
+                return code;
             }
             // CI-friendly: nonempty findings in an analyze report exit 2,
             // like the one-shot `taj analyze`.
@@ -687,6 +657,32 @@ fn batch_exit_code(value: &serde::Value) -> ExitCode {
         ExitCode::from(2)
     } else {
         ExitCode::SUCCESS
+    }
+}
+
+/// Writes `text` to stdout through one lock. A reader that closed the
+/// pipe early (`taj … | head`) ends the command quietly with the shell's
+/// SIGPIPE status (141) instead of a panic inside `print!`.
+fn write_stdout(text: &str) -> Result<(), ExitCode> {
+    let mut out = std::io::stdout().lock();
+    match out.write_all(text.as_bytes()).and_then(|()| out.flush()) {
+        Ok(()) => Ok(()),
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => Err(ExitCode::from(141)),
+        Err(e) => {
+            eprintln!("error: cannot write output: {e}");
+            Err(ExitCode::FAILURE)
+        }
+    }
+}
+
+/// Pretty-prints a daemon response value to stdout.
+fn print_json(value: &serde::Value) -> Result<(), ExitCode> {
+    match serde_json::to_string_pretty(value) {
+        Ok(s) => write_stdout(&format!("{s}\n")),
+        Err(e) => {
+            eprintln!("error: cannot render response: {e}");
+            Err(ExitCode::FAILURE)
+        }
     }
 }
 
@@ -728,7 +724,11 @@ fn run_analysis(
     let OutputOpts { json, sarif, flows, concurrency, ir, profile, .. } = *opts;
     if ir {
         match jir::frontend::build_program(source) {
-            Ok(program) => print!("{}", jir::pretty::program_to_string(&program)),
+            Ok(program) => {
+                if let Err(code) = write_stdout(&jir::pretty::program_to_string(&program)) {
+                    return code;
+                }
+            }
             Err(e) => {
                 eprintln!("error: {e}");
                 return ExitCode::FAILURE;
@@ -746,9 +746,9 @@ fn run_analysis(
     }
     match result {
         Ok(report) => {
-            if sarif {
+            let text = if sarif {
                 match taj::core::to_sarif(&report) {
-                    Ok(s) => println!("{s}"),
+                    Ok(s) => s + "\n",
                     Err(e) => {
                         eprintln!("error: SARIF serialization failed: {e}");
                         return ExitCode::FAILURE;
@@ -756,58 +756,17 @@ fn run_analysis(
                 }
             } else if json {
                 match serde_json::to_string_pretty(&report) {
-                    Ok(s) => println!("{s}"),
+                    Ok(s) => s + "\n",
                     Err(e) => {
                         eprintln!("error: serialization failed: {e}");
                         return ExitCode::FAILURE;
                     }
                 }
             } else {
-                println!(
-                    "{}: {} issue(s), {} raw flow(s), {} ms",
-                    report.config,
-                    report.issue_count(),
-                    report.flows.len(),
-                    report.stats.total_ms
-                );
-                for f in &report.findings {
-                    println!(
-                        "  [{:>13}] {} → {}  in {} (×{})",
-                        f.flow.issue.to_string(),
-                        f.flow.source_method,
-                        f.flow.sink_method,
-                        f.flow.sink_owner_class,
-                        f.group_size
-                    );
-                }
-                if flows {
-                    println!("\nraw flows:");
-                    for fl in &report.flows {
-                        println!(
-                            "  [{:>13}] {} → {} in {} (len {}, {} heap hops)",
-                            fl.issue.to_string(),
-                            fl.source_method,
-                            fl.sink_method,
-                            fl.sink_owner_class,
-                            fl.flow_len,
-                            fl.heap_transitions
-                        );
-                    }
-                }
-                if concurrency {
-                    println!();
-                    print!("{}", taj::core::concurrency_text(&report));
-                }
-                if report.degradation.degraded {
-                    println!("\nDEGRADED run:");
-                    for step in &report.degradation.steps {
-                        println!(
-                            "  [{}] {} -> {} ({})",
-                            step.stage, step.from, step.to, step.reason
-                        );
-                        println!("    caveat: {}", step.caveat);
-                    }
-                }
+                summary_text(&report, flows, concurrency)
+            };
+            if let Err(code) = write_stdout(&text) {
+                return code;
             }
             if profile {
                 // stderr, so `--json`/`--sarif` stdout stays machine-parseable.
@@ -828,6 +787,57 @@ fn run_analysis(
             ExitCode::FAILURE
         }
     }
+}
+
+/// The default (human-readable) rendering of a report.
+fn summary_text(report: &taj::core::TajReport, flows: bool, concurrency: bool) -> String {
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "{}: {} issue(s), {} raw flow(s)",
+        report.config,
+        report.issue_count(),
+        report.flows.len()
+    );
+    for f in &report.findings {
+        let _ = writeln!(
+            out,
+            "  [{:>13}] {} → {}  in {} (×{})",
+            f.flow.issue.to_string(),
+            f.flow.source_method,
+            f.flow.sink_method,
+            f.flow.sink_owner_class,
+            f.group_size
+        );
+    }
+    if flows {
+        let _ = writeln!(out, "\nraw flows:");
+        for fl in &report.flows {
+            let _ = writeln!(
+                out,
+                "  [{:>13}] {} → {} in {} (len {}, {} heap hops)",
+                fl.issue.to_string(),
+                fl.source_method,
+                fl.sink_method,
+                fl.sink_owner_class,
+                fl.flow_len,
+                fl.heap_transitions
+            );
+        }
+    }
+    if concurrency {
+        out.push('\n');
+        out.push_str(&taj::core::concurrency_text(report));
+    }
+    if report.degradation.degraded {
+        let _ = writeln!(out, "\nDEGRADED run:");
+        for step in &report.degradation.steps {
+            let _ =
+                writeln!(out, "  [{}] {} -> {} ({})", step.stage, step.from, step.to, step.reason);
+            let _ = writeln!(out, "    caveat: {}", step.caveat);
+        }
+    }
+    out
 }
 
 #[cfg(test)]

@@ -6,8 +6,7 @@
 //! computes per-pair agreement sets for every case and fails on any
 //! disagreement that no triage rule explains; the triaged deltas are
 //! documented in EXPERIMENTS.md. The corpus, verdict reduction, and
-//! triage rules live in `tests/common/` and are shared with the
-//! full-vs-incremental differential harness.
+//! triage rules live in `tests/common/`.
 
 mod common;
 

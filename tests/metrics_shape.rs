@@ -99,10 +99,6 @@ const DAEMON_FAMILIES: &[(&str, &str)] = &[
     ("taj_phase1_runs_total", "counter"),
     ("taj_phase2_runs_total", "counter"),
     ("taj_degraded_runs_total", "counter"),
-    ("taj_delta_requests_total", "counter"),
-    ("taj_delta_phase1_reused_total", "counter"),
-    ("taj_delta_methods_resolved_total", "counter"),
-    ("taj_delta_methods_total", "counter"),
     ("taj_cache_hits_total", "counter"),
     ("taj_cache_misses_total", "counter"),
     ("taj_cache_evictions_total", "counter"),
@@ -165,31 +161,25 @@ fn daemon_exposition_shape_is_constant_from_first_scrape() {
     assert_build_info(&cold, "daemon");
 
     // Every series — label sets included — exists before any request:
-    // all five cache tiers, and every `delta_*` counter at literal zero
-    // even though no incremental request ever ran.
+    // exactly the three in-memory cache tiers plus the disk tier.
     let cold_series = series(&cold);
-    for tier in ["prepared", "phase1", "report", "summary", "disk"] {
-        let key = format!("taj_cache_hits_total{{tier=\"{tier}\"}}");
-        assert!(cold_series.contains(&key), "missing {key}");
-    }
-    for family in [
-        "taj_delta_requests_total",
-        "taj_delta_phase1_reused_total",
-        "taj_delta_methods_resolved_total",
-        "taj_delta_methods_total",
-    ] {
-        assert_eq!(sample_value(&cold, family), Some(0.0), "{family} must zero-init");
-    }
+    let tiers: BTreeSet<&String> =
+        cold_series.iter().filter(|k| k.starts_with("taj_cache_hits_total{")).collect();
+    let want: Vec<String> = ["prepared", "phase1", "report", "disk"]
+        .iter()
+        .map(|tier| format!("taj_cache_hits_total{{tier=\"{tier}\"}}"))
+        .collect();
+    assert_eq!(tiers, want.iter().collect(), "cache tier series changed");
 
-    // Warm the daemon across the analyze and delta paths, then rescrape:
-    // values move, the series set must not.
+    // Warm the daemon with two programs, then rescrape: values move, the
+    // series set must not.
     let opts = AnalyzeOpts::default();
     client.analyze(XSS_SERVLET, &opts).expect("warm analyze");
-    client.analyze_delta(XSS_SERVLET, SAFE_SERVLET, &opts).expect("warm analyze_delta");
+    client.analyze(SAFE_SERVLET, &opts).expect("warm second analyze");
     let warm = client.metrics().expect("warm scrape");
     assert_families(&warm, DAEMON_FAMILIES, "warm daemon");
     assert_eq!(cold_series, series(&warm), "daemon series set changed between scrapes");
-    assert!(sample_value(&warm, "taj_delta_requests_total").unwrap_or(0.0) > 0.0);
+    assert_eq!(sample_value(&warm, "taj_analyze_requests_total"), Some(2.0));
 
     client.shutdown().expect("shutdown");
     handle.join();

@@ -6,8 +6,8 @@
 //!
 //! The thread count is an *execution* parameter, never an *analysis*
 //! parameter; this file is the enforcement of that contract. The
-//! normalization and comparison helpers live in `tests/common/` and are
-//! shared with the trace and incremental differential harnesses.
+//! comparison helpers live in `tests/common/` and are shared with the
+//! trace harness.
 
 mod common;
 
@@ -124,7 +124,7 @@ fn interrupted_ifds_runs_are_thread_invariant() {
 /// Serialized via `FailScenario::setup`'s global lock.
 #[cfg(feature = "taj_failpoints")]
 mod failpoint_scenarios {
-    use crate::common::{big_app, normalized, normalized_json, THREADS};
+    use crate::common::{big_app, report_json, THREADS};
     use taj::core::{analyze_prepared_opts, to_text, RunOptions, TajConfig};
     use taj::supervise::failpoints::{self, FailAction, FailScenario};
 
@@ -146,7 +146,7 @@ mod failpoint_scenarios {
                 config,
                 &RunOptions { degrade, threads, ..RunOptions::default() },
             )
-            .map(|r| (normalized_json(&r), to_text(&normalized(&r))))
+            .map(|r| (report_json(&r), to_text(&r)))
         };
         let want = run(1);
         for threads in &THREADS[1..] {

@@ -1,6 +1,7 @@
 //! Robustness tests: recursion (through the RHS summary fixpoint and the
 //! pointer analysis), inheritance across application classes, mutual
-//! recursion, deep call chains, and servlet-lifecycle inheritance.
+//! recursion, deep call chains, and servlet-lifecycle inheritance —
+//! plus the CLI surviving a reader that closes its stdout pipe early.
 
 use taj::{analyze_source, IssueType, RuleSet, TajConfig};
 
@@ -256,4 +257,38 @@ fn taint_through_array_of_objects() {
         }
     "#;
     assert_eq!(issues(src), vec![IssueType::Xss]);
+}
+
+/// `taj analyze FILE --ir | head -1`: the reader takes one line and
+/// closes the pipe while the CLI is still writing. The CLI must stop
+/// quietly instead of panicking on the failed write.
+#[test]
+fn closed_stdout_pipe_is_not_a_panic() {
+    use std::io::{BufRead, BufReader};
+    use std::process::{Command, Stdio};
+
+    let preset = taj::webgen::presets().into_iter().find(|p| p.name == "Webgoat").unwrap();
+    let bench = taj::webgen::generate(&preset.spec(taj::webgen::Scale::standard()));
+    let path = std::env::temp_dir().join(format!("taj-closed-pipe-{}.jweb", std::process::id()));
+    std::fs::write(&path, &bench.source).expect("write generated preset");
+
+    let mut child = Command::new(env!("CARGO_BIN_EXE_taj"))
+        .arg("analyze")
+        .arg(&path)
+        .arg("--ir")
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn taj");
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().unwrap()).read_line(&mut first).expect("read one line");
+    assert!(!first.is_empty(), "the IR starts before the pipe closes");
+    // The reader (and with it the pipe) is dropped here.
+    let out = child.wait_with_output().expect("taj exits");
+    let _ = std::fs::remove_file(&path);
+
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "CLI panicked on a closed pipe: {stderr}");
+    assert_ne!(out.status.code(), Some(101), "panic exit status: {stderr}");
+    assert!(stderr.is_empty(), "a closed pipe is not worth a message: {stderr}");
 }

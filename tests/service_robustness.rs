@@ -48,6 +48,11 @@ fn malformed_json_gets_structured_error() {
     assert_eq!(error_code(&raw), "bad_request");
     let raw = client.request_raw(r#"{"cmd":"launch_missiles"}"#).expect("responds");
     assert_eq!(error_code(&raw), "unknown_command");
+    // The retired incremental command is unknown, not half-served.
+    let raw = client
+        .request_raw(r#"{"cmd":"analyze_delta","base_source":"class A {}","source":"class A {}"}"#)
+        .expect("responds");
+    assert_eq!(error_code(&raw), "unknown_command");
 
     // The connection survives all of the above.
     client.stats().expect("connection still usable");

@@ -7,7 +7,7 @@
 
 mod common;
 
-use common::{big_app, normalized_json, THREADS};
+use common::{big_app, report_json, THREADS};
 use taj::core::{
     analyze_prepared_opts, analyze_source_opts, PreparedProgram, Recorder, RuleSet, RunOptions,
     Supervisor, TajConfig, TajError, TajReport,
@@ -102,9 +102,8 @@ fn pre_cancelled_runs_have_thread_invariant_traces() {
 
 #[test]
 fn reports_are_byte_identical_with_tracing_on_or_off() {
-    // Tracing must never perturb the analysis: the normalized report
-    // (timing counters zeroed, as everywhere else) is compared between a
-    // disabled recorder and a live wall-clock recorder.
+    // Tracing must never perturb the analysis: the report bytes are
+    // compared between a disabled recorder and a live wall-clock recorder.
     let prepared = big_app("trace-determinism");
     for config in TajConfig::all() {
         for threads in [1, 4] {
@@ -121,8 +120,8 @@ fn reports_are_byte_identical_with_tracing_on_or_off() {
             )
             .expect("traced run completes");
             assert_eq!(
-                normalized_json(&off),
-                normalized_json(&on),
+                report_json(&off),
+                report_json(&on),
                 "[{}] tracing changed the report at {threads} threads",
                 config.name
             );
