@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use taj_core::{IssueType, RuleSet};
 use taj_pointer::{analyze, PointsTo, PolicyConfig, SolverConfig};
-use taj_sdg::{CiSlicer, CsSlicer, HybridSlicer, ProgramView, SliceBounds, SliceSpec};
+use taj_sdg::{CiSlicer, CsSlicer, DefUseIndex, HybridSlicer, ProgramView, SliceBounds, SliceSpec};
 use taj_webgen::{generate, presets, Scale};
 
 struct Prepared {
@@ -46,7 +46,8 @@ fn bench_slicing(c: &mut Criterion) {
     group.sample_size(10);
     for name in ["I", "Webgoat"] {
         let p = prepare(name);
-        let view = ProgramView::build(&p.program, &p.pts, &p.spec);
+        let index = DefUseIndex::build(&p.program, &p.pts);
+        let view = ProgramView::new(&index, &p.spec);
         group.bench_function(BenchmarkId::new("hybrid", name), |b| {
             b.iter(|| HybridSlicer::new(&view, SliceBounds::default()).run())
         });

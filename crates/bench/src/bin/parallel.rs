@@ -105,10 +105,9 @@ fn main() {
 
     // One combined program: every securibench case concatenated (class
     // names are globally unique across the suite, so the sources compose
-    // into a single application with one seed list per rule — the shape
-    // the chunked work queue is built for), replicated `scale` times
-    // with renamed classes so phase 2 has enough seeds to be worth
-    // fanning out.
+    // into a single application with one seed list per rule), replicated
+    // `scale` times with renamed classes so phase 2 has enough seeds to
+    // be worth fanning out.
     let cases = securibench_cases();
     let mut combined = String::new();
     for case in &cases {

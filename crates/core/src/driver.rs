@@ -2,8 +2,6 @@
 //! analysis & call-graph construction, then per-rule slicing, bounds, and
 //! LCP report minimization.
 
-use std::collections::HashSet;
-use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -14,8 +12,8 @@ use taj_obs::{AttrValue, Recorder, TraceEvent};
 use jir::Program;
 use taj_pointer::{EscapeAnalysis, HeapGraph, PointsTo, PolicyConfig, SolverConfig};
 use taj_sdg::{
-    CiSlicer, CsSlicer, Flow, HybridSlicer, IfdsSlicer, MhpRelation, ProgramView, SliceBounds,
-    SliceResult, SliceSpec, StmtNode,
+    CiSlicer, CsSlicer, DefUseIndex, Flow, HybridSlicer, IfdsSlicer, MhpRelation, ProgramView,
+    SliceBounds, SliceResult, SliceSpec, StmtNode,
 };
 use taj_supervise::{InterruptReason, Supervisor};
 
@@ -694,42 +692,6 @@ fn partial_step(config: &TajConfig, reason: &str) -> DegradationStep {
     }
 }
 
-/// One parallel work unit: which part of one rule's seed lists to slice.
-///
-/// Rules whose slicer couples seeds through a shared budget (the CS
-/// path-edge budget, the bounded hybrid's heap-transition budget) stay
-/// whole; unbounded hybrid/CI rules split into contiguous seed chunks of
-/// [`parallel::SEED_CHUNK`]. The plan depends only on the configuration
-/// and the phase-1 artifacts — never on the thread count — so the unit
-/// list (and therefore the merged output) is thread-count-invariant.
-#[derive(Clone, Debug)]
-enum UnitKind {
-    /// The rule's full seed lists in one run (budget-coupled slicers).
-    Whole,
-    /// A chunk of the rule's regular seed list.
-    Seeds(Range<usize>),
-    /// A chunk of the rule's by-reference seed list (hybrid only).
-    RefSeeds(Range<usize>),
-}
-
-impl UnitKind {
-    /// Stable label for the per-unit trace span.
-    fn label(&self) -> &'static str {
-        match self {
-            UnitKind::Whole => "whole",
-            UnitKind::Seeds(_) => "seeds",
-            UnitKind::RefSeeds(_) => "ref_seeds",
-        }
-    }
-}
-
-/// A planned unit: rule index plus seed partition.
-#[derive(Clone, Debug)]
-struct Unit {
-    rule: usize,
-    kind: UnitKind,
-}
-
 /// What one executed unit produced.
 struct UnitOut {
     result: SliceResult,
@@ -759,47 +721,11 @@ enum UnitStatus {
     Skipped,
 }
 
-/// Splits `0..len` into [`parallel::SEED_CHUNK`]-sized chunk units.
-fn push_chunks(
-    units: &mut Vec<Unit>,
-    rule: usize,
-    len: usize,
-    make: impl Fn(Range<usize>) -> UnitKind,
-) {
-    let mut start = 0;
-    while start < len {
-        let end = (start + parallel::SEED_CHUNK).min(len);
-        units.push(Unit { rule, kind: make(start..end) });
-        start = end;
-    }
-}
-
-/// Plans the unit list for one configuration over built rule views.
-fn plan_units(config: &TajConfig, views: &[ProgramView<'_>]) -> Vec<Unit> {
-    // Seed-splitting is valid only when seeds are independent: the CS
-    // slicer tabulates all seeds jointly under one path-edge budget, and
-    // a heap-transition bound couples seeds through the shared counter.
-    let splittable = config.max_heap_transitions.is_none()
-        && matches!(config.algorithm, Algorithm::Hybrid | Algorithm::CiThin);
-    let mut units = Vec::new();
-    for (rule, view) in views.iter().enumerate() {
-        if !splittable {
-            units.push(Unit { rule, kind: UnitKind::Whole });
-            continue;
-        }
-        push_chunks(&mut units, rule, view.seeds().len(), UnitKind::Seeds);
-        if matches!(config.algorithm, Algorithm::Hybrid) {
-            push_chunks(&mut units, rule, view.ref_seeds().len(), UnitKind::RefSeeds);
-        }
-    }
-    units
-}
-
 /// One phase-2 pass under a fixed configuration. Returns the report plus
 /// the supervisor interrupt that stopped it early, if any.
 ///
-/// Work is fanned out over `threads` scoped workers (see
-/// [`parallel::par_map`]); each unit runs under its own
+/// Work is fanned out one unit per rule over `threads` scoped workers
+/// (see [`parallel::par_map`]); each unit runs under its own
 /// [`Supervisor::fresh_meters`] handle so cancellation and deadlines
 /// still interrupt every worker while budget meters stay per-unit
 /// deterministic. Results merge by unit index: the prefix of units up to
@@ -848,8 +774,7 @@ fn run_phase2(
         _ => None,
     };
 
-    // Stage A: per-rule slice specs and program views, built in parallel
-    // (views borrow their spec, hence the two indexed maps).
+    // Stage A: per-rule slice specs, built in parallel.
     let mut specs_span = recorder.span("phase2.specs");
     let specs: Vec<SliceSpec> = parallel::par_map(threads, resolved.len(), |i| {
         build_spec(prepared, pts, heap, &resolved[i], config)
@@ -858,9 +783,19 @@ fn run_phase2(
         specs_span.attr("rules", resolved.len());
     }
     specs_span.finish();
+    // Stage B: the rule-independent def-use index, once per pass, and a
+    // thin per-rule overlay for the nodes each rule's roles reclassify.
+    let mut index_span = recorder.span("phase2.index");
+    let index = DefUseIndex::build(program, pts);
+    if recorder.is_enabled() {
+        let index_stats = index.stats();
+        index_span.attr("nodes", index_stats.nodes);
+        index_span.attr("use_edges", index_stats.use_edges);
+    }
+    index_span.finish();
     let mut views_span = recorder.span("phase2.views");
     let views: Vec<ProgramView<'_>> =
-        parallel::par_map(threads, resolved.len(), |i| ProgramView::build(program, pts, &specs[i]));
+        parallel::par_map(threads, resolved.len(), |i| ProgramView::new(&index, &specs[i]));
     if recorder.is_enabled() {
         let mut view_stats = taj_sdg::ViewStats::default();
         for view in &views {
@@ -873,14 +808,12 @@ fn run_phase2(
     }
     views_span.finish();
 
-    // Stage B: slice the planned units over the work-stealing queue.
-    let units = plan_units(config, &views);
+    // Stage C: slice one unit per rule over the work-stealing queue.
     let bounds = SliceBounds {
         max_heap_transitions: config.max_heap_transitions,
         max_path_edges: config.cs_path_edge_budget,
     };
-    let run_unit = |unit: &Unit| -> UnitStatus {
-        let view = &views[unit.rule];
+    let run_unit = |view: &ProgramView<'_>| -> UnitStatus {
         let unit_supervisor = supervisor.fresh_meters();
         // Clone shares the unit's private meters: read back after the run
         // for the per-unit trace span (deterministic — fresh meters, and
@@ -894,11 +827,7 @@ fn run_phase2(
                     HybridSlicer::new(view, bounds)
                 }
                 .with_supervisor(unit_supervisor);
-                let result = match &unit.kind {
-                    UnitKind::Whole => slicer.run(),
-                    UnitKind::Seeds(r) => slicer.run_partition(r.clone(), 0..0),
-                    UnitKind::RefSeeds(r) => slicer.run_partition(0..0, r.clone()),
-                };
+                let result = slicer.run();
                 UnitStatus::Done(UnitOut {
                     edges_dropped: slicer.edges_dropped(),
                     summaries: slicer.summaries_tabulated(),
@@ -912,15 +841,7 @@ fn run_phase2(
             Algorithm::Ifds => {
                 let mut slicer = IfdsSlicer::new(view, config.access_path_depth)
                     .with_supervisor(unit_supervisor);
-                let result = match &unit.kind {
-                    UnitKind::Whole => slicer.run(),
-                    // IFDS units are never split: access-path facts from
-                    // different seeds share the summary table, and v1
-                    // plans whole-rule units (see `plan_units`).
-                    UnitKind::Seeds(_) | UnitKind::RefSeeds(_) => {
-                        unreachable!("IFDS plans whole-rule units only")
-                    }
-                };
+                let result = slicer.run();
                 UnitStatus::Done(UnitOut {
                     edges_dropped: 0,
                     summaries: slicer.summary_edges(),
@@ -938,11 +859,7 @@ fn run_phase2(
                     ci_cache.as_ref().expect("built for CI above"),
                 )
                 .with_supervisor(unit_supervisor);
-                let result = match &unit.kind {
-                    UnitKind::Whole => slicer.run(),
-                    UnitKind::Seeds(r) => slicer.run_partition(r.clone()),
-                    UnitKind::RefSeeds(_) => unreachable!("CI plans no by-reference units"),
-                };
+                let result = slicer.run();
                 UnitStatus::Done(UnitOut {
                     edges_dropped: 0,
                     summaries: 0,
@@ -982,11 +899,11 @@ fn run_phase2(
     // prefix merge will drop them — so workers skip them once any unit
     // goes abnormal (`fetch_min` keeps the floor at the lowest index).
     let abort_floor = AtomicUsize::new(usize::MAX);
-    let statuses = parallel::par_map_timed(threads, units.len(), recorder, |i| {
+    let statuses = parallel::par_map_timed(threads, views.len(), recorder, |i| {
         if i > abort_floor.load(Ordering::Relaxed) {
             return UnitStatus::Skipped;
         }
-        let status = run_unit(&units[i]);
+        let status = run_unit(&views[i]);
         let abnormal = matches!(&status, UnitStatus::Oom { .. })
             || matches!(&status, UnitStatus::Done(o) if o.result.interrupted.is_some());
         if abnormal {
@@ -1001,10 +918,8 @@ fn run_phase2(
     // them from the workers would leak scheduling (which units ran before
     // the abort floor rose) into the event set.
     let mut rule_flows: Vec<Vec<Flow>> = resolved.iter().map(|_| Vec::new()).collect();
-    let mut seen: Vec<HashSet<(StmtNode, StmtNode, usize)>> =
-        resolved.iter().map(|_| HashSet::new()).collect();
     let mut summary_edges = 0usize;
-    for (index, (unit, (status, timing))) in units.iter().zip(statuses).enumerate() {
+    for (rule, (status, timing)) in statuses.into_iter().enumerate() {
         match status {
             // Skipped units are strictly behind an abnormal unit, which
             // this in-order scan reaches first; defensive break.
@@ -1028,9 +943,8 @@ fn run_phase2(
                 }
                 if recorder.is_enabled() {
                     let mut attrs: Vec<(&'static str, AttrValue)> = vec![
-                        ("unit", index.into()),
-                        ("rule", resolved[unit.rule].issue.to_string().into()),
-                        ("kind", unit.kind.label().into()),
+                        ("unit", rule.into()),
+                        ("rule", resolved[rule].issue.to_string().into()),
                         ("flows", out.result.flows.len().into()),
                         ("work", out.result.work.into()),
                         ("heap_transitions", out.result.heap_transitions.into()),
@@ -1052,14 +966,7 @@ fn run_phase2(
                         attrs,
                     });
                 }
-                for f in out.result.flows {
-                    // Replays the sequential engine's `seen_flows` dedup
-                    // across partitions of the same rule: its key is
-                    // exactly `(seed stmt, sink, position)`.
-                    if seen[unit.rule].insert((f.source, f.sink, f.sink_pos)) {
-                        rule_flows[unit.rule].push(f);
-                    }
-                }
+                rule_flows[rule] = out.result.flows;
                 if out.result.interrupted.is_some() {
                     interrupted = out.result.interrupted;
                     break;
@@ -1105,7 +1012,7 @@ fn run_phase2(
     }
     post_span.finish();
     if recorder.is_enabled() {
-        phase_span.attr("units", units.len());
+        phase_span.attr("units", views.len());
         phase_span.attr("slicer_work", stats.slicer_work);
         phase_span.attr("heap_transitions", stats.heap_transitions);
         phase_span.attr("summary_edges", summary_edges);

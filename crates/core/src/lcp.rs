@@ -122,7 +122,8 @@ mod tests {
         for (m, pos) in &xss.sinks {
             spec.sinks.insert(*m, pos.clone());
         }
-        let view = taj_sdg::ProgramView::build(&p, &pts, &spec);
+        let index = taj_sdg::DefUseIndex::build(&p, &pts);
+        let view = taj_sdg::ProgramView::new(&index, &spec);
         let flows = HybridSlicer::new(&view, SliceBounds::default()).run().flows;
         assert_eq!(flows.len(), 3, "three raw source→sink flows, got {}", flows.len());
         let tagged: Vec<(IssueType, Flow)> =
@@ -159,7 +160,8 @@ mod tests {
         p.entrypoints.push(p.method_by_name(c, "main").unwrap());
         let pts = analyze(&p, &SolverConfig::default());
         let spec = SliceSpec::default();
-        let view = taj_sdg::ProgramView::build(&p, &pts, &spec);
+        let index = taj_sdg::DefUseIndex::build(&p, &pts);
+        let view = taj_sdg::ProgramView::new(&index, &spec);
         let tagged = vec![(IssueType::Xss, flow.clone()), (IssueType::Sqli, flow)];
         let findings = deduplicate(&view, &tagged);
         assert_eq!(findings.len(), 2);

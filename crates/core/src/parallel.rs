@@ -1,12 +1,12 @@
-//! The parallel phase-2 engine: fans the driver's per-rule/per-seed
-//! slice loop out over scoped worker threads pulling from a shared
-//! work queue, then merges results deterministically.
+//! The parallel phase-2 engine: fans the driver's per-rule slice loop
+//! out over scoped worker threads pulling from a shared work queue, then
+//! merges results deterministically.
 //!
-//! TAJ's phase 2 is embarrassingly parallel: every seed→sink slice is an
-//! independent demand-driven traversal over the shared, immutable
-//! phase-1 artifacts (points-to solution, call graph, heap graph,
-//! escape/MHP). The engine here is deliberately `std`-only — scoped
-//! threads (`std::thread::scope`), an `AtomicUsize` chunk cursor as the
+//! TAJ's phase 2 is embarrassingly parallel across rules: every rule's
+//! slice is an independent demand-driven traversal over the shared,
+//! immutable phase-1 artifacts (points-to solution, call graph, heap
+//! graph, escape/MHP) and the pass's shared def-use index. The engine here is deliberately `std`-only — scoped
+//! threads (`std::thread::scope`), an `AtomicUsize` unit cursor as the
 //! work queue, and an `mpsc` channel to collect results — so the
 //! workspace keeps building offline from `vendor/` with no new
 //! dependencies.
@@ -15,9 +15,8 @@
 //!
 //! The engine never lets scheduling order reach the output:
 //!
-//! 1. The **unit list is fixed before any worker starts**, computed only
-//!    from the configuration and the phase-1 artifacts — never from the
-//!    thread count.
+//! 1. The **unit list is fixed before any worker starts**: one unit per
+//!    rule, never a function of the thread count.
 //! 2. Workers **steal unit indices** from a shared atomic cursor; each
 //!    unit runs under its own [`Supervisor::fresh_meters`] handle
 //!    (shared cancellation token and deadline, private step/memory
@@ -40,12 +39,6 @@ use taj_obs::Recorder;
 
 #[cfg(doc)]
 use taj_supervise::Supervisor;
-
-/// Seeds per chunk when a rule's seed list is split into parallel units.
-/// Small enough that a seed-heavy rule (the common shape: one dominant
-/// rule per application) yields many units; large enough to amortize the
-/// per-unit slicer construction and summary recomputation.
-pub const SEED_CHUNK: usize = 4;
 
 /// Resolves a requested thread count: `0` means auto — the `TAJ_THREADS`
 /// environment variable if set to a positive integer (CI's thread-matrix

@@ -10,22 +10,32 @@ use crate::driver::TajReport;
 use crate::rules::IssueType;
 
 /// Renders the `--profile` per-phase breakdown: a headline with the
-/// recorder's `phase1` and `phase2` span totals followed by its per-span
-/// aggregation — one line per span name with call count, total
+/// recorder's per-layer totals — `prepare` (the `prepare.*` spans),
+/// `phase1`, `phase2` and `render` — and their sum, followed by its
+/// per-span aggregation — one line per span name with call count, total
 /// milliseconds, and summed numeric attributes.
 pub fn profile_text(report: &TajReport, recorder: &Recorder) -> String {
     use std::fmt::Write as _;
     let rows = recorder.aggregate();
-    let ms = |name: &str| {
-        rows.iter().filter(|r| r.name == name).map(|r| r.total_us).sum::<u64>() as f64 / 1000.0
+    let us = |layer: fn(&str) -> bool| {
+        rows.iter().filter(|r| layer(r.name)).map(|r| r.total_us).sum::<u64>()
     };
-    let (phase1, phase2) = (ms("phase1"), ms("phase2"));
+    let prepare = us(|name| name.starts_with("prepare."));
+    let phase1 = us(|name| name == "phase1");
+    let phase2 = us(|name| name == "phase2");
+    let render = us(|name| name == "render");
+    let ms = |us: u64| us as f64 / 1000.0;
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "profile: {} — phase1 {phase1:.3} ms, phase2 {phase2:.3} ms, total {:.3} ms",
+        "profile: {} — prepare {:.3} ms, phase1 {:.3} ms, phase2 {:.3} ms, render {:.3} ms, \
+         total {:.3} ms",
         report.config,
-        phase1 + phase2
+        ms(prepare),
+        ms(phase1),
+        ms(phase2),
+        ms(render),
+        ms(prepare + phase1 + phase2 + render)
     );
     out.push_str(&recorder.profile_text());
     out

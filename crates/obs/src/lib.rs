@@ -41,7 +41,7 @@ use std::time::{Duration, Instant};
 pub enum AttrValue {
     /// An unsigned counter (counts, sizes, iterations).
     U64(u64),
-    /// A short string (rule names, interrupt reasons, unit kinds).
+    /// A short string (rule names, interrupt reasons).
     Str(String),
     /// A boolean flag.
     Bool(bool),

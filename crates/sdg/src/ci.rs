@@ -240,20 +240,7 @@ impl<'a> CiSlicer<'a> {
 
     /// Runs the slice from every source.
     pub fn run(&mut self) -> SliceResult {
-        self.run_partition(0..usize::MAX)
-    }
-
-    /// Runs the slice over a contiguous partition of the seed list
-    /// (`seed_range` indexes into [`ProgramView::seeds`], clamped to its
-    /// length) — the unit of work the parallel engine dispatches. Seed
-    /// traversals are independent (`seen_flows` keys carry the seed
-    /// statement), so the flow set of a whole run is the ordered union
-    /// of its partitions'; the heap-transition counter is additive. As
-    /// with the hybrid slicer, bounded configurations must keep a rule
-    /// in one partition because the budget counter is per-slicer.
-    pub fn run_partition(&mut self, seed_range: std::ops::Range<usize>) -> SliceResult {
-        let all_seeds = self.view.seeds();
-        let seeds = &all_seeds[crate::hybrid::clamp_range(&seed_range, all_seeds.len())];
+        let seeds = self.view.seeds();
         let mut result = SliceResult::default();
         let mut seen_flows: HashSet<(StmtNode, StmtNode, usize)> = HashSet::new();
         let mut heap_used = 0usize;

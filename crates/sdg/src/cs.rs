@@ -165,7 +165,7 @@ impl<'a> CsSlicer<'a> {
         if result.interrupted.is_some() {
             return Ok(result);
         }
-        'seeds: for (stmt, sc) in seeds {
+        'seeds: for &(stmt, sc) in seeds {
             let mut visited: HashSet<Fact> = HashSet::new();
             let mut parents: Parents = HashMap::new();
             let mut queue: VecDeque<Fact> = VecDeque::new();
@@ -317,7 +317,7 @@ impl<'a> CsSlicer<'a> {
                                 }
                             }
                             Use::Ret { .. } => {
-                                if let Some(sites) = self.view.return_sites.get(&node) {
+                                if let Some(sites) = self.view.index.return_sites.get(&node) {
                                     for &(caller, _, cdst) in sites {
                                         if let Some(d) = cdst {
                                             push_plain(
@@ -357,7 +357,7 @@ impl<'a> CsSlicer<'a> {
                         }
                     }
                     if dir == Dir::Up {
-                        if let Some(sites) = self.view.return_sites.get(&node) {
+                        if let Some(sites) = self.view.index.return_sites.get(&node) {
                             for &(caller, cloc, _) in sites {
                                 if !self.blocks_return(caller, cloc, node, Some(ik)) {
                                     push_plain(
@@ -386,7 +386,7 @@ impl<'a> CsSlicer<'a> {
                         }
                     }
                     if dir == Dir::Up {
-                        if let Some(sites) = self.view.return_sites.get(&node) {
+                        if let Some(sites) = self.view.index.return_sites.get(&node) {
                             for &(caller, cloc, _) in sites {
                                 if !self.blocks_return(caller, cloc, node, None) {
                                     push_plain(
@@ -505,7 +505,7 @@ impl<'a> CsSlicer<'a> {
                     }
                 }
                 Use::Ret { .. } => {
-                    if let Some(sites) = self.view.return_sites.get(&node) {
+                    if let Some(sites) = self.view.index.return_sites.get(&node) {
                         for &(caller, cloc, cdst) in &sites.clone() {
                             if let Some(d) = cdst {
                                 push(
@@ -582,7 +582,7 @@ impl<'a> CsSlicer<'a> {
         // Reflective invoke: the argument array's contents bind to the
         // invoked method's parameters.
         if field == FieldKey::Array {
-            for &(inode, iloc, arr, callee) in &self.view.invoke_bindings {
+            for &(inode, iloc, arr, callee) in &self.view.index.invoke_bindings {
                 if inode != node {
                     continue; // call-structure consistency
                 }
@@ -624,7 +624,7 @@ impl<'a> CsSlicer<'a> {
         // at or above their origin (realizable paths), and never across
         // spawn edges (the CS thread unsoundness).
         if dir == Dir::Up {
-            if let Some(sites) = self.view.return_sites.get(&node) {
+            if let Some(sites) = self.view.index.return_sites.get(&node) {
                 for &(caller, cloc, _) in &sites.clone() {
                     if self.blocks_return(caller, cloc, node, Some(ik)) {
                         continue; // CS thread unsoundness
@@ -684,7 +684,7 @@ impl<'a> CsSlicer<'a> {
             }
         }
         if dir == Dir::Up {
-            if let Some(sites) = self.view.return_sites.get(&node) {
+            if let Some(sites) = self.view.index.return_sites.get(&node) {
                 for &(caller, cloc, _) in &sites.clone() {
                     if self.blocks_return(caller, cloc, node, None) {
                         continue;
@@ -740,6 +740,7 @@ fn count_heap(path: &[FlowStep]) -> usize {
 mod tests {
     use super::*;
     use crate::spec::SliceSpec;
+    use crate::view::DefUseIndex;
     use taj_pointer::{analyze, PointsTo, SolverConfig};
 
     fn build(src: &str) -> (jir::Program, PointsTo) {
@@ -777,7 +778,8 @@ mod tests {
     fn spawn_sites_are_keyed_by_full_edge_triple() {
         let (program, pts) = build(TWO_SPAWNS);
         let spec = SliceSpec::default();
-        let view = ProgramView::build(&program, &pts, &spec);
+        let index = DefUseIndex::build(&program, &pts);
+        let view = ProgramView::new(&index, &spec);
         let slicer = CsSlicer::new(&view, SliceBounds::default());
 
         let sites = slicer.spawn_sites();
@@ -798,7 +800,8 @@ mod tests {
     fn ordinary_calls_are_not_spawn_sites() {
         let (program, pts) = build(TWO_SPAWNS);
         let spec = SliceSpec::default();
-        let view = ProgramView::build(&program, &pts, &spec);
+        let index = DefUseIndex::build(&program, &pts);
+        let view = ProgramView::new(&index, &spec);
         let slicer = CsSlicer::new(&view, SliceBounds::default());
 
         // Main.helper() is a plain call edge: it must not appear in
@@ -822,7 +825,8 @@ mod tests {
         "#,
         );
         let spec = SliceSpec::default();
-        let view = ProgramView::build(&program, &pts, &spec);
+        let index = DefUseIndex::build(&program, &pts);
+        let view = ProgramView::new(&index, &spec);
         let slicer = CsSlicer::new(&view, SliceBounds::default());
         assert!(slicer.spawn_sites().is_empty());
     }
@@ -831,7 +835,8 @@ mod tests {
     fn blocks_return_respects_escape_mode() {
         let (program, pts) = build(TWO_SPAWNS);
         let spec = SliceSpec::default();
-        let view = ProgramView::build(&program, &pts, &spec);
+        let index = DefUseIndex::build(&program, &pts);
+        let view = ProgramView::new(&index, &spec);
         let heap = taj_pointer::HeapGraph::build(&pts);
         let esc = EscapeAnalysis::compute(&pts, &heap);
 

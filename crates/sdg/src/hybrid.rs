@@ -144,33 +144,13 @@ impl<'a> HybridSlicer<'a> {
     }
 
     /// Runs the slice from every source and returns the tainted flows.
-    pub fn run(&mut self) -> SliceResult {
-        self.run_partition(0..usize::MAX, 0..usize::MAX)
-    }
-
-    /// Runs the slice over a contiguous partition of the seed lists:
-    /// `seed_range` indexes into [`ProgramView::seeds`] and `ref_range`
-    /// into [`ProgramView::ref_seeds`] (both clamped to the list length).
     ///
-    /// This is the unit of work the parallel engine dispatches. Each
-    /// [`SeedRun`] is independent traversal state, and `seen_flows` keys
-    /// carry the seed statement, so the flow set of a whole run equals
-    /// the ordered union of its partitions' flow sets. The summary memo
-    /// table is private to one slicer: splitting a rule across slicers
-    /// recomputes summaries per partition, which changes the `work`
-    /// accounting (a function of the partitioning, never of the thread
-    /// count) but not the flows — summaries are unique fixpoints. Heap
-    /// budgets are also per-slicer, which is why bounded configurations
-    /// must keep a rule in one partition (see `taj_core::parallel`).
-    pub fn run_partition(
-        &mut self,
-        seed_range: std::ops::Range<usize>,
-        ref_range: std::ops::Range<usize>,
-    ) -> SliceResult {
-        let all_seeds = self.view.seeds();
-        let all_refs = self.view.ref_seeds();
-        let seeds = &all_seeds[clamp_range(&seed_range, all_seeds.len())];
-        let ref_seeds = &all_refs[clamp_range(&ref_range, all_refs.len())];
+    /// One call slices a whole rule: the RHS summary table fills once and
+    /// serves every seed, and the heap-transition budget (§6.2.1) is
+    /// shared by all of them.
+    pub fn run(&mut self) -> SliceResult {
+        let seeds = self.view.seeds();
+        let ref_seeds = self.view.ref_seeds();
         let mut result = SliceResult::default();
         let mut seen_flows: HashSet<(StmtNode, StmtNode, usize)> = HashSet::new();
         let mut heap_budget = 0usize;
@@ -322,7 +302,7 @@ impl<'a> HybridSlicer<'a> {
                     }
                     Use::Ret { loc } => {
                         let _ = loc;
-                        if let Some(sites) = self.view.return_sites.get(&node) {
+                        if let Some(sites) = self.view.index.return_sites.get(&node) {
                             for &(caller, cloc, cdst) in &sites.clone() {
                                 if let Some(d) = cdst {
                                     run.push(
@@ -404,7 +384,7 @@ impl<'a> HybridSlicer<'a> {
             result.budget_exhausted = true;
             return;
         }
-        if let Some(loads) = self.view.loads_by_field.get(&field) {
+        if let Some(loads) = self.view.index.loads_by_field.get(&field) {
             for (lnode, load) in loads.clone() {
                 let Some(lbase) = load.base else { continue };
                 let lpts = self.view.local_pts(lnode, lbase);
@@ -429,7 +409,7 @@ impl<'a> HybridSlicer<'a> {
         }
         // Reflective invoke: array stores feed the invoked method's params.
         if field == FieldKey::Array {
-            for (inode, iloc, arr, callee) in self.view.invoke_bindings.clone() {
+            for (inode, iloc, arr, callee) in self.view.index.invoke_bindings.clone() {
                 let apts = self.view.local_pts(inode, arr);
                 if apts.intersects(&base_pts) {
                     if self.edge_impossible(store_node, inode, &base_pts, &apts) {
@@ -469,7 +449,7 @@ impl<'a> HybridSlicer<'a> {
         }
         let mut steps = pre_steps;
         steps.push(FlowStep { stmt: store_stmt, kind: StepKind::Local });
-        if let Some(loads) = self.view.static_loads.get(&field) {
+        if let Some(loads) = self.view.index.static_loads.get(&field) {
             for (lnode, load) in loads.clone() {
                 *heap_budget += 1;
                 if self.heap_budget_exhausted(*heap_budget) {
@@ -781,12 +761,6 @@ impl SeedRun {
         rev.reverse();
         rev
     }
-}
-
-/// Clamps a requested partition range to a list of `len` elements.
-pub(crate) fn clamp_range(r: &std::ops::Range<usize>, len: usize) -> std::ops::Range<usize> {
-    let start = r.start.min(len);
-    start..r.end.min(len).max(start)
 }
 
 pub(crate) fn call_dst(view: &ProgramView<'_>, node: CGNodeId, loc: Loc) -> Option<Var> {

@@ -248,7 +248,7 @@ impl<'a> IfdsSlicer<'a> {
         let mut result = SliceResult::default();
         let mut seen_flows: HashSet<(StmtNode, StmtNode, usize)> = HashSet::new();
         let mut heap_edges = 0usize;
-        for &(stmt, sc) in &seeds {
+        for &(stmt, sc) in seeds {
             if self.interrupted.is_some() {
                 break;
             }
@@ -263,7 +263,7 @@ impl<'a> IfdsSlicer<'a> {
         // By-reference sources (footnote 2): the argument object's state
         // is tainted — loads reading it become value seeds, and the
         // object itself is an immediate taint carrier.
-        for rs in &ref_seeds {
+        for rs in ref_seeds {
             if self.interrupted.is_some() {
                 break;
             }
@@ -414,7 +414,7 @@ impl<'a> IfdsSlicer<'a> {
                         }
                     }
                     Use::Ret { .. } => {
-                        if let Some(sites) = self.view.return_sites.get(&node).cloned() {
+                        if let Some(sites) = self.view.index.return_sites.get(&node).cloned() {
                             for (caller, cloc, cdst) in sites {
                                 if let Some(d) = cdst {
                                     self.push(
@@ -532,7 +532,7 @@ impl<'a> IfdsSlicer<'a> {
         // Reflective invoke: array stores feed the invoked method's
         // params with the stored suffix.
         if field == FieldKey::Array {
-            for (inode, iloc, arr, callee) in self.view.invoke_bindings.clone() {
+            for (inode, iloc, arr, callee) in self.view.index.invoke_bindings.clone() {
                 let apts = self.view.local_pts(inode, arr);
                 if apts.intersects(&base_pts) {
                     *heap_edges += 1;
@@ -569,7 +569,7 @@ impl<'a> IfdsSlicer<'a> {
         fact: &Fact,
     ) {
         if let Some(f0) = fields.first() {
-            if let Some(loads) = self.view.loads_by_field.get(&f0).cloned() {
+            if let Some(loads) = self.view.index.loads_by_field.get(&f0).cloned() {
                 for (lnode, l) in loads {
                     let Some(lbase) = l.base else { continue };
                     if self.view.local_pts(lnode, lbase).contains(ik) {
@@ -625,7 +625,7 @@ impl<'a> IfdsSlicer<'a> {
         fields: &ApFields,
         fact: &Fact,
     ) {
-        if let Some(loads) = self.view.static_loads.get(&field).cloned() {
+        if let Some(loads) = self.view.index.static_loads.get(&field).cloned() {
             for (lnode, l) in loads {
                 *heap_edges += 1;
                 self.push(

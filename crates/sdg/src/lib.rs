@@ -16,7 +16,8 @@
 //!   propagation, a deterministic memory budget standing in for the
 //!   paper's out-of-memory runs, and the multithreading unsoundness the
 //!   paper observes;
-//! - [`view`] — the shared per-node def-use/statement view;
+//! - [`view`] — the rule-independent def-use index and the per-rule
+//!   overlay view every slicer reads;
 //! - [`spec`] — rule projections in, tainted [`spec::Flow`]s out, and the
 //!   §6.2 bounds.
 //!
@@ -42,4 +43,6 @@ pub use spec::{
     CarrierSink, Flow, FlowStep, SliceBounds, SliceError, SliceResult, SliceSpec, StepKind,
     StmtNode,
 };
-pub use view::{FieldKey, LoadStmt, NodeView, ProgramView, SourceCall, Use, ViewStats};
+pub use view::{
+    DefUseIndex, FieldKey, LoadStmt, NodeView, ProgramView, SourceCall, Use, ViewStats,
+};

@@ -1,8 +1,14 @@
 //! A per-call-graph-node view of the IR tailored to slicing: def-use
 //! roles, load/store inventories, resolved call targets, and taint-rule
-//! classifications. All three slicers (hybrid, CI, CS) consume this.
+//! classifications. Every slicer consumes this.
+//!
+//! The view comes in two layers: a rule-independent [`DefUseIndex`],
+//! built once per phase-2 pass, and a per-rule [`ProgramView`] that
+//! rebuilds only the nodes calling one of the rule's sources, sinks or
+//! sanitizers.
 
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 use jir::inst::{BinOp, Inst, Loc, Terminator, Var};
 use jir::method::Intrinsic;
@@ -101,7 +107,7 @@ pub struct SourceCall {
 }
 
 /// A by-reference taint seed: see [`ProgramView::ref_seeds`].
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RefSeed {
     /// The call statement invoking the by-reference source.
     pub stmt: StmtNode,
@@ -115,7 +121,7 @@ pub struct RefSeed {
 }
 
 /// Slicing-oriented view of one call-graph node.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct NodeView {
     /// Register → uses.
     pub uses: HashMap<Var, Vec<Use>>,
@@ -125,16 +131,18 @@ pub struct NodeView {
     pub sources: Vec<SourceCall>,
 }
 
-/// Program-wide slicing view: node views plus global indices for heap-edge
-/// matching and return plumbing.
+/// The rule-independent half of the slicing view: every call-graph node's
+/// view built under an empty [`SliceSpec`], plus the global indices for
+/// heap-edge matching and return plumbing. Rules differ only at calls to
+/// their own sources, sinks and sanitizers, so one index serves every
+/// rule of a phase-2 pass; each rule's [`ProgramView`] overlays the few
+/// nodes its roles change.
 #[derive(Debug)]
-pub struct ProgramView<'a> {
+pub struct DefUseIndex<'a> {
     /// The analyzed program.
     pub program: &'a Program,
     /// Phase-1 results.
     pub pts: &'a PointsTo,
-    /// The rule projection.
-    pub spec: &'a SliceSpec,
     views: Vec<NodeView>,
     /// All instance/array loads, grouped by field key.
     pub loads_by_field: HashMap<FieldKey, Vec<(CGNodeId, LoadStmt)>>,
@@ -146,17 +154,20 @@ pub struct ProgramView<'a> {
     /// Reflective invoke bindings grouped for array-store matching:
     /// `(caller node, call loc, array var, callee node)`.
     pub invoke_bindings: Vec<(CGNodeId, Loc, Var, CGNodeId)>,
+    /// Method → the nodes with a call site resolving to it (a call-graph
+    /// target or an intrinsic callee), ascending and unique.
+    callers_of: HashMap<MethodId, Vec<CGNodeId>>,
 }
 
-/// Aggregate size counters of a [`ProgramView`] — the SDG-side numbers
-/// tracing attaches to the `phase2.views` span.
+/// Aggregate size counters of node views — the SDG-side numbers tracing
+/// attaches to the `phase2.index` and `phase2.views` spans.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ViewStats {
     /// Call-graph node views built.
     pub nodes: usize,
-    /// Register-use edges across all node views.
+    /// Register-use edges across those node views.
     pub use_edges: usize,
-    /// Heap/static load statements indexed.
+    /// Heap/static load statements in those node views.
     pub loads: usize,
     /// Source (taint-seed) calls found.
     pub sources: usize,
@@ -170,14 +181,33 @@ impl ViewStats {
         self.loads += other.loads;
         self.sources += other.sources;
     }
+
+    fn of<'v>(views: impl IntoIterator<Item = &'v NodeView>) -> Self {
+        let mut stats = ViewStats::default();
+        for view in views {
+            stats.nodes += 1;
+            stats.use_edges += view.uses.values().map(Vec::len).sum::<usize>();
+            stats.loads += view.loads.len();
+            stats.sources += view.sources.len();
+        }
+        stats
+    }
 }
 
-impl<'a> ProgramView<'a> {
-    /// Builds views for every call-graph node.
-    pub fn build(program: &'a Program, pts: &'a PointsTo, spec: &'a SliceSpec) -> Self {
+impl<'a> DefUseIndex<'a> {
+    /// Builds the rule-independent views of every call-graph node.
+    pub fn build(program: &'a Program, pts: &'a PointsTo) -> Self {
+        let no_roles = SliceSpec::default();
         let mut views = Vec::with_capacity(pts.callgraph.len());
+        let mut callers_of: HashMap<MethodId, Vec<CGNodeId>> = HashMap::new();
         for node in pts.callgraph.iter_nodes() {
-            views.push(build_node_view(program, pts, spec, node));
+            views.push(build_node_view(program, pts, &no_roles, node));
+            for_each_callee(program, pts, node, |_, _, callee| {
+                let callers = callers_of.entry(callee).or_default();
+                if callers.last() != Some(&node) {
+                    callers.push(node);
+                }
+            });
         }
         let mut loads_by_field: HashMap<FieldKey, Vec<(CGNodeId, LoadStmt)>> = HashMap::new();
         let mut static_loads: HashMap<FieldId, Vec<(CGNodeId, LoadStmt)>> = HashMap::new();
@@ -198,55 +228,114 @@ impl<'a> ProgramView<'a> {
         }
         let invoke_bindings =
             pts.invoke_bindings.iter().map(|b| (b.caller, b.loc, b.arg_array, b.callee)).collect();
-        ProgramView {
+        DefUseIndex {
             program,
             pts,
-            spec,
             views,
             loads_by_field,
             static_loads,
             return_sites,
             invoke_bindings,
+            callers_of,
         }
     }
 
-    /// The view of `node`.
+    /// The rule-independent view of `node`.
     pub fn node(&self, node: CGNodeId) -> &NodeView {
         &self.views[node.index()]
     }
 
     /// Aggregate size counters over every node view.
     pub fn stats(&self) -> ViewStats {
-        let mut stats = ViewStats { nodes: self.views.len(), ..ViewStats::default() };
-        for view in &self.views {
-            stats.use_edges += view.uses.values().map(Vec::len).sum::<usize>();
-            stats.loads += view.loads.len();
-            stats.sources += view.sources.len();
+        ViewStats::of(&self.views)
+    }
+
+    /// The nodes calling any of `methods`, ascending and unique.
+    fn callers_of_any<'m>(&self, methods: impl IntoIterator<Item = &'m MethodId>) -> Vec<CGNodeId> {
+        let mut nodes: Vec<CGNodeId> =
+            methods.into_iter().filter_map(|m| self.callers_of.get(m)).flatten().copied().collect();
+        nodes.sort_unstable();
+        nodes.dedup();
+        nodes
+    }
+}
+
+/// One rule's slicing view: the shared [`DefUseIndex`] with the nodes
+/// whose calls the rule's roles reclassify rebuilt under its spec.
+#[derive(Debug)]
+pub struct ProgramView<'a> {
+    /// The analyzed program.
+    pub program: &'a Program,
+    /// Phase-1 results.
+    pub pts: &'a PointsTo,
+    /// The rule projection.
+    pub spec: &'a SliceSpec,
+    /// The shared rule-independent index.
+    pub index: &'a DefUseIndex<'a>,
+    /// Node views rebuilt under `spec`, ascending by node: exactly the
+    /// nodes calling one of its sources, sinks or sanitizers.
+    overlay: Vec<(CGNodeId, NodeView)>,
+    seeds: OnceLock<Vec<(StmtNode, SourceCall)>>,
+    ref_seeds: OnceLock<Vec<RefSeed>>,
+}
+
+impl<'a> ProgramView<'a> {
+    /// The view of one rule over a shared index.
+    pub fn new(index: &'a DefUseIndex<'a>, spec: &'a SliceSpec) -> Self {
+        let roles = spec.sources.iter().chain(spec.sinks.keys()).chain(&spec.sanitizers);
+        let overlay = index
+            .callers_of_any(roles)
+            .into_iter()
+            .map(|node| (node, build_node_view(index.program, index.pts, spec, node)))
+            .collect();
+        ProgramView {
+            program: index.program,
+            pts: index.pts,
+            spec,
+            index,
+            overlay,
+            seeds: OnceLock::new(),
+            ref_seeds: OnceLock::new(),
         }
-        stats
+    }
+
+    /// The view of `node` under this rule.
+    pub fn node(&self, node: CGNodeId) -> &NodeView {
+        match self.overlay.binary_search_by_key(&node, |(n, _)| *n) {
+            Ok(i) => &self.overlay[i].1,
+            Err(_) => self.index.node(node),
+        }
+    }
+
+    /// Aggregate size counters over the rule's overlay node views.
+    pub fn stats(&self) -> ViewStats {
+        ViewStats::of(self.overlay.iter().map(|(_, view)| view))
     }
 
     /// All taint seeds in the program: source calls plus synthetic source
-    /// sites (§4.1.2).
-    pub fn seeds(&self) -> Vec<(StmtNode, SourceCall)> {
-        let mut out = Vec::new();
-        for node in self.pts.callgraph.iter_nodes() {
-            for s in &self.node(node).sources {
-                out.push((StmtNode { node, loc: s.loc }, *s));
-            }
-        }
-        for site in &self.spec.synthetic_source_sites {
-            if site.node.index() >= self.views.len() {
-                continue;
-            }
-            if let Some((Some(d), method)) = self.call_at(site.node, site.loc) {
-                let sc = SourceCall { loc: site.loc, dst: d, method };
-                if !out.iter().any(|(st, _)| *st == *site) {
-                    out.push((*site, sc));
+    /// sites (§4.1.2). Computed on first use.
+    pub fn seeds(&self) -> &[(StmtNode, SourceCall)] {
+        self.seeds.get_or_init(|| {
+            // Only overlay nodes call a source, so only they hold any.
+            let mut out = Vec::new();
+            for (node, view) in &self.overlay {
+                for s in &view.sources {
+                    out.push((StmtNode { node: *node, loc: s.loc }, *s));
                 }
             }
-        }
-        out
+            for site in &self.spec.synthetic_source_sites {
+                if site.node.index() >= self.pts.callgraph.len() {
+                    continue;
+                }
+                if let Some((Some(d), method)) = self.call_at(site.node, site.loc) {
+                    let sc = SourceCall { loc: site.loc, dst: d, method };
+                    if !out.iter().any(|(st, _)| *st == *site) {
+                        out.push((*site, sc));
+                    }
+                }
+            }
+            out
+        })
     }
 
     /// By-reference taint seeds (footnote 2 of the paper): for every call
@@ -254,58 +343,43 @@ impl<'a> ProgramView<'a> {
     /// flagged argument object become tainted. Returns, per site, the
     /// loads whose base may alias that object (their destinations are the
     /// initial slicing facts) and the argument's points-to set (for
-    /// immediate carrier checks).
-    pub fn ref_seeds(&self) -> Vec<RefSeed> {
-        let mut out = Vec::new();
-        if self.spec.ref_sources.is_empty() {
-            return out;
-        }
-        for node in self.pts.callgraph.iter_nodes() {
-            let method = self.pts.callgraph.method_of(node);
-            let Some(body) = self.program.method(method).body() else { continue };
-            for (bid, block) in body.iter_blocks() {
-                for (i, inst) in block.insts.iter().enumerate() {
-                    let Inst::Call { args, .. } = inst else { continue };
-                    let loc = Loc::new(bid, i);
-                    let mut callees: Vec<MethodId> = self
-                        .pts
-                        .callgraph
-                        .targets(node, loc)
-                        .iter()
-                        .map(|&t| self.pts.callgraph.method_of(t))
-                        .collect();
-                    callees.extend(self.pts.intrinsics_at(node, loc).iter().map(|&(m, _)| m));
-                    for callee in callees {
-                        let Some(positions) = self.spec.ref_sources.get(&callee) else {
+    /// immediate carrier checks). Computed on first use.
+    pub fn ref_seeds(&self) -> &[RefSeed] {
+        self.ref_seeds.get_or_init(|| {
+            let mut out = Vec::new();
+            for node in self.index.callers_of_any(self.spec.ref_sources.keys()) {
+                for_each_callee(self.program, self.pts, node, |loc, args, callee| {
+                    let Some(positions) = self.spec.ref_sources.get(&callee) else { return };
+                    for &pos in positions {
+                        let Some(&arg) = args.get(pos) else { continue };
+                        let arg_pts = self.local_pts(node, arg);
+                        if arg_pts.is_empty() {
                             continue;
-                        };
-                        for &pos in positions {
-                            let Some(&arg) = args.get(pos) else { continue };
-                            let arg_pts = self.local_pts(node, arg);
-                            if arg_pts.is_empty() {
-                                continue;
-                            }
-                            let mut facts = Vec::new();
-                            for loads in self.loads_by_field.values() {
-                                for (lnode, l) in loads {
-                                    let Some(lb) = l.base else { continue };
-                                    if self.local_pts(*lnode, lb).intersects(&arg_pts) {
-                                        facts.push((*lnode, l.dst));
-                                    }
+                        }
+                        let mut facts = Vec::new();
+                        for loads in self.index.loads_by_field.values() {
+                            for (lnode, l) in loads {
+                                let Some(lb) = l.base else { continue };
+                                if self
+                                    .pts
+                                    .local(*lnode, lb)
+                                    .is_some_and(|p| p.intersects(&arg_pts))
+                                {
+                                    facts.push((*lnode, l.dst));
                                 }
                             }
-                            out.push(RefSeed {
-                                stmt: StmtNode { node, loc },
-                                method: callee,
-                                arg_pts: arg_pts.clone(),
-                                facts,
-                            });
                         }
+                        out.push(RefSeed {
+                            stmt: StmtNode { node, loc },
+                            method: callee,
+                            arg_pts,
+                            facts,
+                        });
                     }
-                }
+                });
             }
-        }
-        out
+            out
+        })
     }
 
     /// The destination register and first resolved callee of the call at
@@ -340,6 +414,30 @@ impl<'a> ProgramView<'a> {
     }
 }
 
+/// Calls `f(loc, args, callee)` for every resolved callee of every call
+/// site in `node`, in body order: call-graph targets first, then
+/// intrinsic callees.
+fn for_each_callee(
+    program: &Program,
+    pts: &PointsTo,
+    node: CGNodeId,
+    mut f: impl FnMut(Loc, &[Var], MethodId),
+) {
+    let Some(body) = program.method(pts.callgraph.method_of(node)).body() else { return };
+    for (bid, block) in body.iter_blocks() {
+        for (i, inst) in block.insts.iter().enumerate() {
+            let Inst::Call { args, .. } = inst else { continue };
+            let loc = Loc::new(bid, i);
+            for &t in pts.callgraph.targets(node, loc) {
+                f(loc, args, pts.callgraph.method_of(t));
+            }
+            for &(m, _) in pts.intrinsics_at(node, loc) {
+                f(loc, args, m);
+            }
+        }
+    }
+}
+
 fn call_dst_at(program: &Program, pts: &PointsTo, node: CGNodeId, loc: Loc) -> Option<Var> {
     let method = pts.callgraph.method_of(node);
     let body = program.method(method).body()?;
@@ -350,7 +448,9 @@ fn call_dst_at(program: &Program, pts: &PointsTo, node: CGNodeId, loc: Loc) -> O
     }
 }
 
-fn build_node_view(
+/// The slicing view of `node` under `spec` — the definition a
+/// [`ProgramView`] reproduces for every node, shared or overlaid.
+pub fn build_node_view(
     program: &Program,
     pts: &PointsTo,
     spec: &SliceSpec,
@@ -643,7 +743,8 @@ mod tests {
             "#,
         );
         let spec = default_spec(&p);
-        let view = ProgramView::build(&p, &pts, &spec);
+        let index = DefUseIndex::build(&p, &pts);
+        let view = ProgramView::new(&index, &spec);
         assert_eq!(view.seeds().len(), 1);
     }
 
@@ -661,7 +762,8 @@ mod tests {
             "#,
         );
         let spec = default_spec(&p);
-        let view = ProgramView::build(&p, &pts, &spec);
+        let index = DefUseIndex::build(&p, &pts);
+        let view = ProgramView::new(&index, &spec);
         let has_sink = pts.callgraph.iter_nodes().any(|n| {
             view.node(n).uses.values().flatten().any(|u| matches!(u, Use::SinkArg { .. }))
         });
@@ -682,7 +784,8 @@ mod tests {
             "#,
         );
         let spec = default_spec(&p);
-        let view = ProgramView::build(&p, &pts, &spec);
+        let index = DefUseIndex::build(&p, &pts);
+        let view = ProgramView::new(&index, &spec);
         let has_sanitized = pts.callgraph.iter_nodes().any(|n| {
             view.node(n).uses.values().flatten().any(|u| matches!(u, Use::Sanitized { .. }))
         });
@@ -724,7 +827,8 @@ mod tests {
             "#,
         );
         let spec = default_spec(&p);
-        let view = ProgramView::build(&p, &pts, &spec);
+        let index = DefUseIndex::build(&p, &pts);
+        let view = ProgramView::new(&index, &spec);
         let flows = pts
             .callgraph
             .iter_nodes()
@@ -748,9 +852,10 @@ mod tests {
             "#,
         );
         let spec = default_spec(&p);
-        let view = ProgramView::build(&p, &pts, &spec);
+        let index = DefUseIndex::build(&p, &pts);
+        let view = ProgramView::new(&index, &spec);
         let box_c = p.class_by_name("Box").unwrap();
         let v_field = p.field_by_name(box_c, "v").unwrap();
-        assert!(view.loads_by_field.contains_key(&FieldKey::Field(v_field)));
+        assert!(view.index.loads_by_field.contains_key(&FieldKey::Field(v_field)));
     }
 }

@@ -2,7 +2,9 @@
 //! programs engineered to separate their precision/soundness behaviours.
 
 use taj_pointer::{analyze, SolverConfig};
-use taj_sdg::{CiSlicer, CsSlicer, HybridSlicer, ProgramView, SliceBounds, SliceResult, SliceSpec};
+use taj_sdg::{
+    CiSlicer, CsSlicer, DefUseIndex, HybridSlicer, ProgramView, SliceBounds, SliceResult, SliceSpec,
+};
 
 struct Setup {
     program: jir::Program,
@@ -40,17 +42,20 @@ fn setup(src: &str) -> Setup {
 }
 
 fn run_hybrid(s: &Setup) -> SliceResult {
-    let view = ProgramView::build(&s.program, &s.pts, &s.spec);
+    let index = DefUseIndex::build(&s.program, &s.pts);
+    let view = ProgramView::new(&index, &s.spec);
     HybridSlicer::new(&view, SliceBounds::default()).run()
 }
 
 fn run_ci(s: &Setup) -> SliceResult {
-    let view = ProgramView::build(&s.program, &s.pts, &s.spec);
+    let index = DefUseIndex::build(&s.program, &s.pts);
+    let view = ProgramView::new(&index, &s.spec);
     CiSlicer::new(&view, SliceBounds::default()).run()
 }
 
 fn run_cs(s: &Setup) -> Result<SliceResult, taj_sdg::SliceError> {
-    let view = ProgramView::build(&s.program, &s.pts, &s.spec);
+    let index = DefUseIndex::build(&s.program, &s.pts);
+    let view = ProgramView::new(&index, &s.spec);
     CsSlicer::new(&view, SliceBounds::default()).run()
 }
 
@@ -237,7 +242,8 @@ fn cs_misses_cross_thread_flow() {
 #[test]
 fn cs_runs_out_of_budget() {
     let s = setup(DIRECT_FLOW);
-    let view = ProgramView::build(&s.program, &s.pts, &s.spec);
+    let index = DefUseIndex::build(&s.program, &s.pts);
+    let view = ProgramView::new(&index, &s.spec);
     let bounds = SliceBounds { max_path_edges: Some(1), ..Default::default() };
     let err = CsSlicer::new(&view, bounds).run().unwrap_err();
     assert!(matches!(err, taj_sdg::SliceError::OutOfBudget { .. }));
@@ -264,7 +270,8 @@ fn heap_transition_bound_limits_hybrid() {
         }
         "#,
     );
-    let view = ProgramView::build(&s.program, &s.pts, &s.spec);
+    let index = DefUseIndex::build(&s.program, &s.pts);
+    let view = ProgramView::new(&index, &s.spec);
     let bounds = SliceBounds { max_heap_transitions: Some(0), ..Default::default() };
     let res = HybridSlicer::new(&view, bounds).run();
     assert!(res.budget_exhausted);

@@ -721,7 +721,7 @@ fn run_analysis(
     opts: &OutputOpts,
     run: &RunOptions,
 ) -> ExitCode {
-    let OutputOpts { json, sarif, flows, concurrency, ir, profile, .. } = *opts;
+    let OutputOpts { ir, profile, .. } = *opts;
     if ir {
         match jir::frontend::build_program(source) {
             Ok(program) => {
@@ -736,6 +736,14 @@ fn run_analysis(
         }
     }
     let result = analyze_source_opts(source, None, rules, config, run);
+    // The `render` span closes the profile's layer sum; it is recorded
+    // before the trace is written so the trace carries it too.
+    let rendered = result.as_ref().ok().map(|report| {
+        let span = run.recorder.span("render");
+        let text = render(report, opts);
+        span.finish();
+        text
+    });
     // Trace output is useful even for aborted runs (the spans recorded up
     // to the failure are flushed by `Span::drop`), so write it first.
     if let Some(path) = &opts.trace_out {
@@ -746,24 +754,12 @@ fn run_analysis(
     }
     match result {
         Ok(report) => {
-            let text = if sarif {
-                match taj::core::to_sarif(&report) {
-                    Ok(s) => s + "\n",
-                    Err(e) => {
-                        eprintln!("error: SARIF serialization failed: {e}");
-                        return ExitCode::FAILURE;
-                    }
+            let text = match rendered.expect("rendered above") {
+                Ok(text) => text,
+                Err(e) => {
+                    eprintln!("error: {e}");
+                    return ExitCode::FAILURE;
                 }
-            } else if json {
-                match serde_json::to_string_pretty(&report) {
-                    Ok(s) => s + "\n",
-                    Err(e) => {
-                        eprintln!("error: serialization failed: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            } else {
-                summary_text(&report, flows, concurrency)
             };
             if let Err(code) = write_stdout(&text) {
                 return code;
@@ -786,6 +782,21 @@ fn run_analysis(
             eprintln!("analysis ran out of memory budget ({path_edges} path edges)");
             ExitCode::FAILURE
         }
+    }
+}
+
+/// Serializes a report as SARIF, pretty JSON, or the human summary.
+fn render(report: &taj::core::TajReport, opts: &OutputOpts) -> Result<String, String> {
+    if opts.sarif {
+        taj::core::to_sarif(report)
+            .map(|s| s + "\n")
+            .map_err(|e| format!("SARIF serialization failed: {e}"))
+    } else if opts.json {
+        serde_json::to_string_pretty(report)
+            .map(|s| s + "\n")
+            .map_err(|e| format!("serialization failed: {e}"))
+    } else {
+        Ok(summary_text(report, opts.flows, opts.concurrency))
     }
 }
 

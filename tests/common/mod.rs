@@ -21,9 +21,9 @@ use taj::webgen::{
 /// scoped workers.
 pub const THREADS: [usize; 4] = [1, 2, 4, 8];
 
-/// A web application big enough that every rule's seed list splits into
-/// multiple parallel units (the chunk size is 4): the standard webgen
-/// pattern mix, twice over, plus filler classes. The `name` only labels
+/// A web application with seeds for every rule, so each of the rules'
+/// parallel units has work: the standard webgen pattern mix, twice over,
+/// plus filler classes. The `name` only labels
 /// the generated source's banner comment — analysis results are
 /// identical across names.
 pub fn big_app(name: &str) -> PreparedProgram {

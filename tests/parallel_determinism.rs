@@ -14,8 +14,14 @@ mod common;
 use common::{assert_thread_invariant, big_app};
 use taj::core::{RunOptions, Supervisor, TajConfig};
 
+// Failpoints are process-global, so under `--features taj_failpoints`
+// every test below holds the scenario lock: another test's injected
+// fault must not land in one of its runs.
+
 #[test]
 fn all_seven_configurations_are_thread_invariant() {
+    #[cfg(feature = "taj_failpoints")]
+    let _scenario = taj::supervise::failpoints::FailScenario::setup();
     let prepared = big_app("parallel-determinism");
     for config in TajConfig::all() {
         assert_thread_invariant(
@@ -29,6 +35,8 @@ fn all_seven_configurations_are_thread_invariant() {
 
 #[test]
 fn budget_degraded_runs_are_thread_invariant() {
+    #[cfg(feature = "taj_failpoints")]
+    let _scenario = taj::supervise::failpoints::FailScenario::setup();
     // The starved CS config exhausts its path-edge budget and falls down
     // the degradation ladder; the fall (and the report it produces at
     // the cheaper rung) must not depend on the thread count.
@@ -43,6 +51,8 @@ fn budget_degraded_runs_are_thread_invariant() {
 
 #[test]
 fn starved_cs_without_degrade_fails_identically_at_every_thread_count() {
+    #[cfg(feature = "taj_failpoints")]
+    let _scenario = taj::supervise::failpoints::FailScenario::setup();
     // Without the ladder, budget exhaustion is a hard error carrying the
     // path-edge count — which must also be thread-invariant.
     let prepared = big_app("parallel-determinism");
@@ -56,6 +66,8 @@ fn starved_cs_without_degrade_fails_identically_at_every_thread_count() {
 
 #[test]
 fn pre_cancelled_runs_are_thread_invariant() {
+    #[cfg(feature = "taj_failpoints")]
+    let _scenario = taj::supervise::failpoints::FailScenario::setup();
     // A cancellation that lands before phase 2 starts must stop every
     // worker and deliver the same (empty-slice, provenance-annotated)
     // partial report at every thread count.
@@ -74,6 +86,8 @@ fn pre_cancelled_runs_are_thread_invariant() {
 
 #[test]
 fn expired_deadline_runs_are_thread_invariant() {
+    #[cfg(feature = "taj_failpoints")]
+    let _scenario = taj::supervise::failpoints::FailScenario::setup();
     // An already-expired deadline trips at the first supervisor check in
     // every worker; the merged partial report must not depend on which
     // worker tripped first.
@@ -91,6 +105,8 @@ fn expired_deadline_runs_are_thread_invariant() {
 
 #[test]
 fn interrupted_ifds_runs_are_thread_invariant() {
+    #[cfg(feature = "taj_failpoints")]
+    let _scenario = taj::supervise::failpoints::FailScenario::setup();
     // IFDS under a pre-tripped supervisor (cancel, expired deadline)
     // must deliver the same partial report at every thread count — the
     // acceptance bar for the seventh configuration includes its

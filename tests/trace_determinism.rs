@@ -12,7 +12,7 @@ use taj::core::{
     analyze_prepared_opts, analyze_source_opts, PreparedProgram, Recorder, RuleSet, RunOptions,
     Supervisor, TajConfig, TajError, TajReport,
 };
-use taj::webgen::{generate, standard_mix, BenchmarkSpec};
+use taj::webgen::{generate, standard_mix, BenchmarkSpec, GeneratedBenchmark};
 
 /// Runs one traced analysis and returns its outcome plus the
 /// timestamp-free trace signature.
@@ -187,4 +187,98 @@ fn traced_run_emits_mandatory_spans_and_valid_chrome_json() {
             "complete events carry dur, instants don't: {ev:?}"
         );
     }
+}
+
+/// Events named `name` in a trace signature.
+fn count_events(signature: &[String], name: &str) -> usize {
+    signature.iter().filter(|l| *l == name || l.starts_with(&format!("{name} "))).count()
+}
+
+/// The small webgen application every test here analyzes, as source.
+fn small_app(name: &str) -> GeneratedBenchmark {
+    generate(&BenchmarkSpec {
+        name: name.into(),
+        pattern_counts: standard_mix(2, 1, true),
+        filler_classes: 3,
+        methods_per_class: 4,
+        seed: 0xD17E,
+    })
+}
+
+#[test]
+fn def_use_index_is_built_once_per_phase2_pass() {
+    let bench = small_app("index-once");
+    let default_rules = RuleSet::default_rules();
+    let one_rule = RuleSet { rules: default_rules.rules[..1].to_vec(), ..default_rules.clone() };
+    let no_rules = RuleSet { rules: Vec::new(), ..default_rules.clone() };
+    let mut runs: Vec<(RuleSet, TajConfig, bool)> =
+        TajConfig::all().into_iter().map(|c| (default_rules.clone(), c, false)).collect();
+    runs.push((one_rule, TajConfig::hybrid_unbounded(), false));
+    runs.push((no_rules, TajConfig::hybrid_unbounded(), false));
+    // The degradation ladder runs one pass per rung.
+    runs.push((default_rules, TajConfig::cs_tiny(), true));
+    for (rules, config, degrade) in runs {
+        let rule_count = rules.rules.len();
+        let prepared = taj::core::prepare(&bench.source, Some(&bench.descriptor), rules)
+            .expect("generated benchmark prepares");
+        for threads in [1, 2] {
+            let (_, signature) = run_traced(&prepared, &config, threads, degrade, false);
+            let passes = count_events(&signature, "phase2");
+            let min_passes = if degrade { 2 } else { 1 };
+            assert!(passes >= min_passes, "[{}] {signature:?}", config.name);
+            assert_eq!(
+                count_events(&signature, "phase2.index"),
+                passes,
+                "[{} with {rule_count} rule(s), {threads} threads] one index per pass",
+                config.name
+            );
+        }
+    }
+}
+
+#[test]
+fn profile_total_is_the_sum_of_its_four_layers() {
+    use std::process::Command;
+
+    let dir = std::env::temp_dir();
+    let pid = std::process::id();
+    let src = dir.join(format!("taj-profile-sum-{pid}.jweb"));
+    let trace = dir.join(format!("taj-profile-sum-{pid}.json"));
+    std::fs::write(&src, small_app("profile-sum").source).expect("write generated program");
+    let out = Command::new(env!("CARGO_BIN_EXE_taj"))
+        .arg("analyze")
+        .arg(&src)
+        .args(["--sarif", "--profile", "--trace-out"])
+        .arg(&trace)
+        .output()
+        .expect("run taj");
+    let trace_json = std::fs::read_to_string(&trace).expect("trace written");
+    let _ = std::fs::remove_file(&src);
+    let _ = std::fs::remove_file(&trace);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "findings exit code: {stderr}");
+
+    // "profile: NAME — prepare A ms, phase1 B ms, phase2 C ms, render D ms, total E ms"
+    let headline = stderr.lines().find(|l| l.starts_with("profile: ")).expect("profile headline");
+    let (_, terms) = headline.split_once(" — ").expect("headline has terms");
+    let micros: Vec<(&str, u64)> = terms
+        .split(", ")
+        .map(|term| {
+            let mut words = term.split(' ');
+            let name = words.next().expect("term name");
+            let ms = words.next().expect("term value");
+            assert_eq!(words.next(), Some("ms"), "{headline}");
+            (name, ms.replace('.', "").parse::<u64>().expect("value in ms, 3 decimals"))
+        })
+        .collect();
+    let names: Vec<&str> = micros.iter().map(|(n, _)| *n).collect();
+    assert_eq!(names, ["prepare", "phase1", "phase2", "render", "total"], "{headline}");
+    let layers: u64 = micros[..4].iter().map(|(_, us)| us).sum();
+    assert_eq!(micros[4].1, layers, "total is prepare + phase1 + phase2 + render: {headline}");
+    assert!(micros[..3].iter().all(|(_, us)| *us > 0), "{headline}");
+
+    let v: serde::Value = serde_json::from_str(&trace_json).expect("chrome trace is valid JSON");
+    let events = v["traceEvents"].as_array().expect("traceEvents array");
+    let renders = events.iter().filter(|ev| ev["name"].as_str() == Some("render")).count();
+    assert_eq!(renders, 1, "the trace carries the render span");
 }
