@@ -70,12 +70,16 @@ impl Parser {
         self.tokens[self.pos].line
     }
 
+    /// Consumes the current token. The parser never looks behind, so the
+    /// token is moved out (leaving `Eof` in its slot) instead of cloned;
+    /// the trailing `Eof` itself is never consumed.
     fn advance(&mut self) -> Tok {
-        let t = self.tokens[self.pos].tok.clone();
         if self.pos < self.tokens.len() - 1 {
             self.pos += 1;
+            std::mem::replace(&mut self.tokens[self.pos - 1].tok, Tok::Eof)
+        } else {
+            Tok::Eof
         }
-        t
     }
 
     fn eat(&mut self, expected: &Tok) -> Result<(), ParseError> {
@@ -88,12 +92,16 @@ impl Parser {
     }
 
     fn eat_ident(&mut self) -> Result<String, ParseError> {
-        match self.peek().clone() {
+        match &mut self.tokens[self.pos].tok {
             Tok::Ident(s) => {
+                let s = std::mem::take(s);
                 self.advance();
                 Ok(s)
             }
-            other => Err(self.err(format!("expected identifier, found {other}"))),
+            other => {
+                let msg = format!("expected identifier, found {other}");
+                Err(self.err(msg))
+            }
         }
     }
 
@@ -147,7 +155,7 @@ impl Parser {
                 self.advance();
                 is_static = true;
             }
-            match self.peek().clone() {
+            match self.peek() {
                 Tok::FieldKw => {
                     self.advance();
                     let ty = self.parse_type()?;
@@ -259,7 +267,7 @@ impl Parser {
     }
 
     fn stmt(&mut self, out: &mut Vec<Stmt>) -> Result<(), ParseError> {
-        match self.peek().clone() {
+        match self.peek() {
             Tok::If => {
                 self.advance();
                 self.eat(&Tok::LParen)?;
@@ -524,7 +532,7 @@ impl Parser {
     fn postfix_expr(&mut self) -> Result<Expr, ParseError> {
         let mut e = self.primary_expr()?;
         loop {
-            match self.peek().clone() {
+            match self.peek() {
                 Tok::Dot => {
                     self.advance();
                     let line = self.line();

@@ -9,6 +9,7 @@
 //! which may discover new reachable nodes.
 
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::rc::Rc;
 
 use jir::inst::{CallTarget, ConstValue, Filter, Inst, Loc, Terminator, Var};
 use jir::method::Intrinsic;
@@ -151,9 +152,9 @@ impl PointsTo {
 /// The solver's startup scan: the static indices behind the §6.1
 /// priority heuristic.
 ///
-/// The vectors list method ids (resp. field ids) in table order, one entry
-/// per load/store occurrence in body order, duplicates included — they
-/// feed node-exploration (and therefore output) order.
+/// Both indices are deduplicated, and their order does not matter: a
+/// priority update reaches the same unique fixpoint whatever order `Tn` is
+/// visited in (see `update_neighborhood_priorities`).
 struct PreScan {
     /// field → methods containing loads of it (instance and static).
     field_loaders: HashMap<FieldId, Vec<MethodId>>,
@@ -185,6 +186,14 @@ impl PreScan {
                     }
                 }
             }
+        }
+        // Loaders are pushed in method-table order, so equal ids are adjacent.
+        for loaders in field_loaders.values_mut() {
+            loaders.dedup();
+        }
+        for stored in method_stores.values_mut() {
+            stored.sort_unstable();
+            stored.dedup();
         }
         // Methods containing calls to source methods (sources are usually
         // intrinsic models and never become call-graph nodes, so the seeds
@@ -276,7 +285,7 @@ enum Constraint {
         fixed: Option<MethodId>,
         sel: Option<jir::SelectorId>,
         recv: Var,
-        args: Vec<Var>,
+        args: Rc<[Var]>,
         dst: Option<Var>,
     },
     /// `Method.invoke` parameter binding: array contents → callee param.
@@ -300,6 +309,16 @@ struct Solver<'p> {
     added: Vec<bool>,
     call_edges: Vec<CallEdge>,
     edge_seen: HashSet<(CGNodeId, Loc, CGNodeId)>,
+    /// Undirected call-graph adjacency: one entry per call edge at each
+    /// end (the §6.1 call-graph part of `Tn`).
+    neighbors: Vec<Vec<CGNodeId>>,
+    /// method → its call-graph nodes, in creation order (the §6.1 heap
+    /// part of `Tn` is a set of methods).
+    method_nodes: Vec<Vec<CGNodeId>>,
+    /// Reused breadth-first queue of the §6.1 priority propagation.
+    priority_work: VecDeque<(CGNodeId, usize)>,
+    /// Reused buffer holding the delta a worklist pop propagates.
+    delta_buf: Vec<u32>,
     site_once: HashSet<(CGNodeId, Loc, u64)>,
     intrinsic_targets: HashMap<(CGNodeId, Loc), Vec<(MethodId, Intrinsic)>>,
     invoke_bindings: Vec<InvokeBinding>,
@@ -346,6 +365,10 @@ impl<'p> Solver<'p> {
             added: Vec::new(),
             call_edges: Vec::new(),
             edge_seen: HashSet::new(),
+            neighbors: Vec::new(),
+            method_nodes: vec![Vec::new(); program.methods.len()],
+            priority_work: VecDeque::new(),
+            delta_buf: Vec::new(),
             site_once: HashSet::new(),
             intrinsic_targets: HashMap::new(),
             invoke_bindings: Vec::new(),
@@ -453,6 +476,8 @@ impl<'p> Solver<'p> {
         }
         let id = CGNodeId(self.node_ids.intern((method, ctx)));
         self.added.push(false);
+        self.neighbors.push(Vec::new());
+        self.method_nodes[method.index()].push(id);
         let is_source = self.source_adjacent.contains(&method);
         self.pending.push(id, is_source);
         Some(id)
@@ -491,10 +516,7 @@ impl<'p> Solver<'p> {
         for &raw in iks {
             let passes = match filter {
                 None => true,
-                Some(f) => {
-                    let ik = self.ikeys.resolve(raw).clone();
-                    ik.passes(self.program, f)
-                }
+                Some(f) => self.ikeys.resolve(raw).passes(self.program, f),
             };
             if passes {
                 self.add_to_pts(to, InstanceKeyId(raw));
@@ -525,18 +547,25 @@ impl<'p> Solver<'p> {
                 continue;
             }
             self.on_wl[p.index()] = false;
-            let d: Vec<u32> = std::mem::take(&mut self.delta[p.index()]).iter().collect();
-            if d.is_empty() {
-                continue;
+            let mut d = std::mem::take(&mut self.delta_buf);
+            d.clear();
+            d.extend(std::mem::take(&mut self.delta[p.index()]).iter());
+            if !d.is_empty() {
+                // Copies and constraints added while `d` propagates are
+                // seeded with the full points-to set when they are added,
+                // so only the entries present at pop time see `d`. Both
+                // lists only grow, so indices below the pop-time length
+                // stay valid.
+                for i in 0..self.copy_out[p.index()].len() {
+                    let (to, filter) = self.copy_out[p.index()][i].clone();
+                    self.flow(&d, to, &filter);
+                }
+                for i in 0..self.base_deps[p.index()].len() {
+                    let c = self.base_deps[p.index()][i].clone();
+                    self.process_constraint(p, &c, &d);
+                }
             }
-            let copies = self.copy_out[p.index()].clone();
-            for (to, filter) in copies {
-                self.flow(&d, to, &filter);
-            }
-            let deps = self.base_deps[p.index()].clone();
-            for c in deps {
-                self.process_constraint(p, &c, &d);
-            }
+            self.delta_buf = d;
         }
     }
 
@@ -613,12 +642,11 @@ impl<'p> Solver<'p> {
         }
         self.added[node.index()] = true;
         let method = self.node_method(node);
-        let m = self.program.method(method);
-        let Some(body) = m.body() else { return };
-        let body = body.clone(); // detach from &self.program borrow
+        let program = self.program;
+        let Some(body) = program.method(method).body() else { return };
 
         for (bid, block) in body.iter_blocks() {
-            let exc_target = self.exc_target_of(node, &body, bid);
+            let exc_target = self.exc_target_of(node, body, bid);
             for (i, inst) in block.insts.iter().enumerate() {
                 let loc = Loc::new(bid, i);
                 self.add_inst_constraints(node, method, loc, inst, &exc_target);
@@ -821,7 +849,7 @@ impl<'p> Solver<'p> {
                             fixed: Some(*m),
                             sel: None,
                             recv: *r,
-                            args: args.to_vec(),
+                            args: args.into(),
                             dst: *dst,
                         },
                     );
@@ -839,7 +867,7 @@ impl<'p> Solver<'p> {
                         fixed: None,
                         sel: Some(*sel),
                         recv: *r,
-                        args: args.to_vec(),
+                        args: args.into(),
                         dst: *dst,
                     },
                 );
@@ -1000,6 +1028,8 @@ impl<'p> Solver<'p> {
     fn record_edge(&mut self, caller: CGNodeId, loc: Loc, callee: CGNodeId) {
         if self.edge_seen.insert((caller, loc, callee)) {
             self.call_edges.push(CallEdge { caller, loc, callee });
+            self.neighbors[caller.index()].push(callee);
+            self.neighbors[callee.index()].push(caller);
         }
     }
 
@@ -1259,57 +1289,29 @@ impl<'p> Solver<'p> {
 
     // ---- §6.1 priority propagation ----
 
+    /// Applies `π(t) := min(π(t), π(n)+1)` to every `t ∈ Tn` and
+    /// propagates decreases along call edges to a fixpoint.
+    ///
+    /// `Tn` is n's call-graph neighbours plus every node of a method that
+    /// loads a field n's method stores (possible heap flow). `neighbors`
+    /// and `method_nodes` hand over `Tn` directly, and
+    /// [`NodeQueue::propagate`] reaches the fixpoint breadth-first, so an
+    /// update costs the size of the neighbourhood it reaches, not the size
+    /// of the call graph.
     fn update_neighborhood_priorities(&mut self, n: CGNodeId) {
-        // Tn: call-graph neighbors plus nodes whose methods load fields
-        // stored by n's method (possible heap flow).
-        let mut tn: Vec<CGNodeId> = Vec::new();
-        for e in &self.call_edges {
-            if e.caller == n && !tn.contains(&e.callee) {
-                tn.push(e.callee);
-            }
-            if e.callee == n && !tn.contains(&e.caller) {
-                tn.push(e.caller);
-            }
-        }
-        let method = self.node_method(n);
-        if let Some(stored) = self.method_stores.get(&method) {
-            let mut methods: Vec<MethodId> = Vec::new();
-            for f in stored {
-                if let Some(loaders) = self.field_loaders.get(f) {
-                    for &lm in loaders {
-                        if !methods.contains(&lm) {
-                            methods.push(lm);
-                        }
-                    }
-                }
-            }
-            for (id, &(m, _)) in self.node_ids.iter() {
-                if methods.contains(&m) {
-                    let cand = CGNodeId(id);
-                    if !tn.contains(&cand) {
-                        tn.push(cand);
-                    }
+        let next = self.pending.priority_of(n).saturating_add(1);
+        let mut work = std::mem::take(&mut self.priority_work);
+        work.extend(self.neighbors[n.index()].iter().map(|&t| (t, next)));
+        if let Some(stored) = self.method_stores.get(&self.node_method(n)) {
+            for field in stored {
+                for &loader in self.field_loaders.get(field).into_iter().flatten() {
+                    work.extend(self.method_nodes[loader.index()].iter().map(|&t| (t, next)));
                 }
             }
         }
-        // Update rule π(t) := min(π(t), π(n)+1), propagated to a fixpoint.
-        let base = self.pending.priority_of(n);
-        let mut work: Vec<(CGNodeId, usize)> =
-            tn.into_iter().map(|t| (t, base.saturating_add(1))).collect();
-        while let Some((t, p)) = work.pop() {
-            if self.pending.lower_priority(t, p) {
-                // Changed: propagate to t's own neighborhood (call-graph
-                // neighbors suffice for the fixpoint step).
-                for e in &self.call_edges {
-                    if e.caller == t {
-                        work.push((e.callee, p.saturating_add(1)));
-                    }
-                    if e.callee == t {
-                        work.push((e.caller, p.saturating_add(1)));
-                    }
-                }
-            }
-        }
+        // Call-graph neighbours suffice for the fixpoint step.
+        self.pending.propagate(&mut work, &self.neighbors);
+        self.priority_work = work;
     }
 }
 
@@ -1352,5 +1354,35 @@ mod tests {
         let scan = PreScan::scan(&program, &sources);
         assert!(scan.source_adjacent.contains(&id), "sources are their own seeds");
         assert!(scan.source_adjacent.contains(&main), "main calls h.id virtually");
+    }
+
+    /// Each scan index lists a method (resp. field) once, however often the
+    /// body loads (resp. stores) the field.
+    #[test]
+    fn prescan_indices_are_deduplicated() {
+        let program = jir::frontend::build_program(
+            r#"
+            class Box {
+                field String a;
+                field String b;
+                method void fill(String s) { this.a = s; this.b = s; this.a = s; }
+                method String read() { String x = this.a; String y = this.a; return this.b; }
+            }
+            "#,
+        )
+        .expect("parses");
+        let class = program.class_by_name("Box").unwrap();
+        let a = program.field_by_name(class, "a").unwrap();
+        let b = program.field_by_name(class, "b").unwrap();
+        let fill = program.method_by_name(class, "fill").unwrap();
+        let read = program.method_by_name(class, "read").unwrap();
+        let scan = PreScan::scan(&program, &HashSet::new());
+        let mut stored = scan.method_stores[&fill].clone();
+        let mut want = vec![a, b];
+        stored.sort();
+        want.sort();
+        assert_eq!(stored, want);
+        assert_eq!(scan.field_loaders[&a], [read]);
+        assert_eq!(scan.field_loaders[&b], [read]);
     }
 }
