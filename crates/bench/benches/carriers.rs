@@ -4,28 +4,16 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use taj_core::{IssueType, RuleSet};
-use taj_pointer::{analyze, HeapGraph, PolicyConfig, SolverConfig};
+use taj_core::{prepare, run_phase1, IssueType, RuleSet, TajConfig};
 use taj_webgen::{generate, presets, Scale};
 
 fn bench_carriers(c: &mut Criterion) {
     let preset = presets().into_iter().find(|p| p.name == "Webgoat").expect("preset");
     let bench = generate(&preset.spec(Scale::quick()));
-    let rules = RuleSet::default_rules();
-    let mut program = jir::frontend::parse_program(&bench.source).expect("parses");
-    taj_core::frameworks::synthesize_entrypoints(&mut program);
-    jir::expand::expand_models(&mut program);
-    jir::ssa::program_to_ssa(&mut program);
-    let pts = analyze(
-        &program,
-        &SolverConfig {
-            policy: PolicyConfig { taint_methods: rules.taint_methods(&program) },
-            source_methods: rules.all_sources(&program),
-            ..Default::default()
-        },
-    );
-    let heap = HeapGraph::build(&pts);
-    let resolved = rules.resolve(&program);
+    let prepared = prepare(&bench.source, None, RuleSet::default_rules()).expect("parses");
+    let phase1 = run_phase1(&prepared, &TajConfig::hybrid_unbounded());
+    let program = &prepared.program;
+    let resolved = prepared.rules.resolve(program);
     let xss = resolved.iter().find(|r| r.issue == IssueType::Xss).expect("xss").clone();
 
     let mut group = c.benchmark_group("carrier_detection");
@@ -33,7 +21,16 @@ fn bench_carriers(c: &mut Criterion) {
     for depth in [Some(0usize), Some(1), Some(2), None] {
         let label = depth.map(|d| d.to_string()).unwrap_or_else(|| "unbounded".into());
         group.bench_with_input(BenchmarkId::new("nested_depth", label), &depth, |b, &d| {
-            b.iter(|| taj_core::carriers::build_carrier_index(&program, &pts, &heap, &xss, d))
+            b.iter(|| {
+                taj_core::carriers::build_carrier_index(
+                    program,
+                    &phase1.pts,
+                    &phase1.heap,
+                    &phase1.index,
+                    &xss,
+                    d,
+                )
+            })
         });
     }
     group.finish();

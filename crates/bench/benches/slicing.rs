@@ -1,36 +1,24 @@
 //! Criterion bench: the three thin-slicing algorithms (§3.2) on prepared
 //! programs — the core Table 3 comparison as a microbenchmark.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 
-use taj_core::{IssueType, RuleSet};
-use taj_pointer::{analyze, PointsTo, PolicyConfig, SolverConfig};
-use taj_sdg::{CiSlicer, CsSlicer, DefUseIndex, HybridSlicer, ProgramView, SliceBounds, SliceSpec};
+use taj_core::{prepare, run_phase1, IssueType, Phase1, PreparedProgram, RuleSet, TajConfig};
+use taj_sdg::{CiSlicer, CsSlicer, HybridSlicer, ProgramView, SliceBounds, SliceSpec};
 use taj_webgen::{generate, presets, Scale};
 
 struct Prepared {
-    program: jir::Program,
-    pts: PointsTo,
+    prepared: PreparedProgram,
+    phase1: Phase1,
     spec: SliceSpec,
 }
 
-fn prepare(name: &str) -> Prepared {
+fn prepare_preset(name: &str) -> Prepared {
     let preset = presets().into_iter().find(|p| p.name == name).expect("preset");
     let bench = generate(&preset.spec(Scale::quick()));
-    let rules = RuleSet::default_rules();
-    let mut program = jir::frontend::parse_program(&bench.source).expect("parses");
-    taj_core::frameworks::synthesize_entrypoints(&mut program);
-    jir::expand::expand_models(&mut program);
-    jir::ssa::program_to_ssa(&mut program);
-    let pts = analyze(
-        &program,
-        &SolverConfig {
-            policy: PolicyConfig { taint_methods: rules.taint_methods(&program) },
-            source_methods: rules.all_sources(&program),
-            ..Default::default()
-        },
-    );
-    let resolved = rules.resolve(&program);
+    let prepared = prepare(&bench.source, None, RuleSet::default_rules()).expect("parses");
+    let phase1 = run_phase1(&prepared, &TajConfig::hybrid_unbounded());
+    let resolved = prepared.rules.resolve(&prepared.program);
     let xss = resolved.iter().find(|r| r.issue == IssueType::Xss).expect("xss");
     let mut spec = SliceSpec::default();
     spec.sources.extend(xss.sources.iter().copied());
@@ -38,23 +26,22 @@ fn prepare(name: &str) -> Prepared {
     for (m, pos) in &xss.sinks {
         spec.sinks.insert(*m, pos.clone());
     }
-    Prepared { program, pts, spec }
+    Prepared { prepared, phase1, spec }
 }
 
 fn bench_slicing(c: &mut Criterion) {
     let mut group = c.benchmark_group("slicing");
     group.sample_size(10);
     for name in ["I", "Webgoat"] {
-        let p = prepare(name);
-        let index = DefUseIndex::build(&p.program, &p.pts);
-        let view = ProgramView::new(&index, &p.spec);
-        group.bench_function(BenchmarkId::new("hybrid", name), |b| {
+        let p = prepare_preset(name);
+        let view = ProgramView::new(&p.prepared.program, &p.phase1.pts, &p.phase1.index, &p.spec);
+        group.bench_function(format!("hybrid/{name}"), |b| {
             b.iter(|| HybridSlicer::new(&view, SliceBounds::default()).run())
         });
-        group.bench_function(BenchmarkId::new("ci", name), |b| {
+        group.bench_function(format!("ci/{name}"), |b| {
             b.iter(|| CiSlicer::new(&view, SliceBounds::default()).run())
         });
-        group.bench_function(BenchmarkId::new("cs", name), |b| {
+        group.bench_function(format!("cs/{name}"), |b| {
             b.iter(|| CsSlicer::new(&view, SliceBounds::default()).run())
         });
     }

@@ -5,9 +5,8 @@
 //!
 //! Pipe into graphviz: `cargo run -p taj-bench --bin figure2 | dot -Tsvg`
 
-use taj_core::RuleSet;
-use taj_pointer::{analyze, PolicyConfig, SolverConfig};
-use taj_sdg::{DefUseIndex, HybridSlicer, ProgramView, SliceBounds, SliceSpec, StepKind};
+use taj_core::{prepare, run_phase1, RuleSet, TajConfig};
+use taj_sdg::{HybridSlicer, ProgramView, SliceBounds, SliceSpec, StepKind};
 
 /// A small program whose single flow exercises both HSDG edge kinds: the
 /// tainted value crosses the heap twice (store/load pairs on two `Holder`
@@ -30,20 +29,10 @@ const SOURCE: &str = r#"
 "#;
 
 fn main() {
-    let rules = RuleSet::default_rules();
-    let mut program = jir::frontend::parse_program(SOURCE).expect("parses");
-    taj_core::frameworks::synthesize_entrypoints(&mut program);
-    jir::expand::expand_models(&mut program);
-    jir::ssa::program_to_ssa(&mut program);
-    let pts = analyze(
-        &program,
-        &SolverConfig {
-            policy: PolicyConfig { taint_methods: rules.taint_methods(&program) },
-            source_methods: rules.all_sources(&program),
-            ..Default::default()
-        },
-    );
-    let resolved = rules.resolve(&program);
+    let prepared = prepare(SOURCE, None, RuleSet::default_rules()).expect("prepares");
+    let phase1 = run_phase1(&prepared, &TajConfig::hybrid_unbounded());
+    let (program, pts) = (&prepared.program, &phase1.pts);
+    let resolved = prepared.rules.resolve(program);
     let xss = resolved.iter().find(|r| r.issue == taj_core::IssueType::Xss).expect("xss rule");
     let mut spec = SliceSpec::default();
     spec.sources.extend(xss.sources.iter().copied());
@@ -51,8 +40,7 @@ fn main() {
     for (m, pos) in &xss.sinks {
         spec.sinks.insert(*m, pos.clone());
     }
-    let index = DefUseIndex::build(&program, &pts);
-    let view = ProgramView::new(&index, &spec);
+    let view = ProgramView::new(program, pts, &phase1.index, &spec);
     let result = HybridSlicer::new(&view, SliceBounds::default()).run();
     assert!(!result.flows.is_empty(), "the demo flow must be found");
 

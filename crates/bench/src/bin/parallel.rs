@@ -2,9 +2,10 @@
 //! `BENCH_parallel.json` with wall-clock per configuration × thread
 //! count over the combined webgen securibench suite.
 //!
-//! Phase 1 is computed once per configuration (shared exactly as the
-//! daemon's artifact cache shares it) and the timed region is phase 2 —
-//! the part the parallel engine fans out. `speedup_vs_seq` is the
+//! Phase 1, def-use index included, is computed once per configuration
+//! (shared exactly as the daemon's artifact cache shares it) and the
+//! timed region is phase 2 — the part the parallel engine fans out. The
+//! traced breakdown therefore shows the index under `phase1.index`. `speedup_vs_seq` is the
 //! single-thread wall clock divided by this row's wall clock, so > 1.0
 //! means the fan-out is winning.
 //!

@@ -318,11 +318,12 @@ pub fn analyze_source(
     analyze_prepared(&prepared, config)
 }
 
-/// Cached phase-1 results (pointer analysis + heap graph), reusable across
-/// every phase-2 configuration with the same call-graph settings — the
-/// paper's two-phase architecture makes re-analysis under different rules
-/// or slicing bounds incremental (§9 lists full incrementality as future
-/// work; the phase split is the part TAJ already has).
+/// Cached phase-1 results (pointer analysis, heap graph and the def-use
+/// index built from them), reusable across every phase-2 configuration
+/// with the same call-graph settings — the paper's two-phase architecture
+/// makes re-analysis under different rules or slicing bounds incremental
+/// (§9 lists full incrementality as future work; the phase split is the
+/// part TAJ already has).
 #[derive(Debug)]
 pub struct Phase1 {
     /// Points-to solution and call graph.
@@ -334,6 +335,9 @@ pub struct Phase1 {
     pub escape: EscapeAnalysis,
     /// May-happen-in-parallel relation over call-graph nodes.
     pub mhp: MhpRelation,
+    /// The rule-independent def-use index over `pts`, shared by every
+    /// rule of every phase-2 pass over this result.
+    pub index: DefUseIndex,
     /// Why phase 1 stopped early, if it was interrupted. An interrupted
     /// phase 1 is a *consistent truncation* (like an exhausted
     /// `max_cg_nodes` budget) with escape/MHP replaced by their
@@ -374,7 +378,7 @@ pub fn run_phase1_supervised(
 /// [`run_phase1_supervised`] under a tracing recorder. The whole phase
 /// runs inside a `phase1` span — spans are the single timing source —
 /// with `phase1.solve` (inside the pointer solver), `phase1.heapgraph`,
-/// `phase1.escape`, and `phase1.mhp` child spans.
+/// `phase1.escape`, `phase1.mhp` and `phase1.index` child spans.
 pub fn run_phase1_traced(
     prepared: &PreparedProgram,
     config: &TajConfig,
@@ -413,6 +417,17 @@ pub fn run_phase1_traced(
         mhp_span.attr("parallel_nodes", mhp.num_parallel_nodes());
     }
     mhp_span.finish();
+    // The def-use index depends on the points-to solution alone, so it is
+    // built once here rather than once per phase-2 pass.
+    let mut index_span = recorder.span("phase1.index");
+    let index = DefUseIndex::build(program, &pts);
+    if recorder.is_enabled() {
+        let stats = index.stats();
+        index_span.attr("nodes", stats.nodes);
+        index_span.attr("use_edges", stats.use_edges);
+        index_span.attr("bytes", index.heap_bytes());
+    }
+    index_span.finish();
     interrupted = interrupted.or(esc_int).or(mhp_int);
     if recorder.is_enabled() {
         phase_span.attr("cg_nodes", pts.stats.nodes);
@@ -424,7 +439,15 @@ pub fn run_phase1_traced(
         }
     }
     phase_span.finish();
-    Phase1 { pts, heap, escape, mhp, interrupted, cg_key: (config.max_cg_nodes, config.priority) }
+    Phase1 {
+        pts,
+        heap,
+        escape,
+        mhp,
+        index,
+        interrupted,
+        cg_key: (config.max_cg_nodes, config.priority),
+    }
 }
 
 /// [`prepare`], but returning the program behind an [`Arc`] for callers
@@ -749,7 +772,6 @@ fn run_phase2(
     // records it on drop).
     let mut phase_span = recorder.span("phase2");
     let pts = &phase1.pts;
-    let heap = &phase1.heap;
     let threads = parallel::resolve_threads(threads);
 
     // ---- Phase 2: per-rule slicing (§3.2) + modeling + bounds (§6.2).
@@ -777,25 +799,18 @@ fn run_phase2(
     // Stage A: per-rule slice specs, built in parallel.
     let mut specs_span = recorder.span("phase2.specs");
     let specs: Vec<SliceSpec> = parallel::par_map(threads, resolved.len(), |i| {
-        build_spec(prepared, pts, heap, &resolved[i], config)
+        build_spec(prepared, phase1, &resolved[i], config)
     });
     if recorder.is_enabled() {
         specs_span.attr("rules", resolved.len());
     }
     specs_span.finish();
-    // Stage B: the rule-independent def-use index, once per pass, and a
-    // thin per-rule overlay for the nodes each rule's roles reclassify.
-    let mut index_span = recorder.span("phase2.index");
-    let index = DefUseIndex::build(program, pts);
-    if recorder.is_enabled() {
-        let index_stats = index.stats();
-        index_span.attr("nodes", index_stats.nodes);
-        index_span.attr("use_edges", index_stats.use_edges);
-    }
-    index_span.finish();
+    // Stage B: a thin per-rule overlay over phase 1's def-use index for
+    // the nodes each rule's roles reclassify.
     let mut views_span = recorder.span("phase2.views");
-    let views: Vec<ProgramView<'_>> =
-        parallel::par_map(threads, resolved.len(), |i| ProgramView::new(&index, &specs[i]));
+    let views: Vec<ProgramView<'_>> = parallel::par_map(threads, resolved.len(), |i| {
+        ProgramView::new(program, pts, &phase1.index, &specs[i])
+    });
     if recorder.is_enabled() {
         let mut view_stats = taj_sdg::ViewStats::default();
         for view in &views {
@@ -1020,6 +1035,11 @@ fn run_phase2(
             phase_span.attr("interrupted", reason.as_str());
         }
     }
+    // The pass's views, specs and CI cache are torn down inside the span,
+    // so the profile bills their drop to phase 2.
+    drop(views);
+    drop(specs);
+    drop(ci_cache);
     phase_span.finish();
 
     let concurrency = ConcurrencyReport {
@@ -1046,12 +1066,12 @@ fn run_phase2(
 
 fn build_spec(
     prepared: &PreparedProgram,
-    pts: &PointsTo,
-    heap: &HeapGraph,
+    phase1: &Phase1,
     rule: &crate::rules::ResolvedRule,
     config: &TajConfig,
 ) -> SliceSpec {
     let program = &prepared.program;
+    let pts = &phase1.pts;
     let mut spec = SliceSpec::default();
     let get_message =
         program.class_by_name("Throwable").and_then(|c| program.method_by_name(c, "getMessage"));
@@ -1077,8 +1097,14 @@ fn build_spec(
             }
         }
     }
-    spec.carrier_sinks =
-        crate::carriers::build_carrier_index(program, pts, heap, rule, config.nested_depth);
+    spec.carrier_sinks = crate::carriers::build_carrier_index(
+        program,
+        pts,
+        &phase1.heap,
+        &phase1.index,
+        rule,
+        config.nested_depth,
+    );
     spec
 }
 
@@ -1162,7 +1188,7 @@ mod tests {
 
         // Exhaustive destructuring: a new `Phase1` field fails to compile
         // until it is audited for thread-count independence.
-        let Phase1 { pts: _, heap: _, escape: _, mhp: _, interrupted, cg_key } = &phase1;
+        let Phase1 { pts: _, heap: _, escape: _, mhp: _, index: _, interrupted, cg_key } = &phase1;
         assert!(interrupted.is_none());
         assert_eq!(*cg_key, (config.max_cg_nodes, config.priority));
 

@@ -123,7 +123,7 @@ mod tests {
             spec.sinks.insert(*m, pos.clone());
         }
         let index = taj_sdg::DefUseIndex::build(&p, &pts);
-        let view = taj_sdg::ProgramView::new(&index, &spec);
+        let view = taj_sdg::ProgramView::new(&p, &pts, &index, &spec);
         let flows = HybridSlicer::new(&view, SliceBounds::default()).run().flows;
         assert_eq!(flows.len(), 3, "three raw source→sink flows, got {}", flows.len());
         let tagged: Vec<(IssueType, Flow)> =
@@ -161,7 +161,7 @@ mod tests {
         let pts = analyze(&p, &SolverConfig::default());
         let spec = SliceSpec::default();
         let index = taj_sdg::DefUseIndex::build(&p, &pts);
-        let view = taj_sdg::ProgramView::new(&index, &spec);
+        let view = taj_sdg::ProgramView::new(&p, &pts, &index, &spec);
         let tagged = vec![(IssueType::Xss, flow.clone()), (IssueType::Sqli, flow)];
         let findings = deduplicate(&view, &tagged);
         assert_eq!(findings.len(), 2);

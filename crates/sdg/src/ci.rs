@@ -210,11 +210,11 @@ impl<'a> CiSlicer<'a> {
         let mut merged_uses: HashMap<Fact, Vec<Use>> = HashMap::new();
         for node in cg.iter_nodes() {
             let m = cg.method_of(node);
-            for (&var, uses) in &view.node(node).uses {
+            for (var, uses) in view.node(node).iter_uses() {
                 let entry = merged_uses.entry((m, var)).or_default();
-                for u in uses {
-                    if !entry.contains(u) {
-                        entry.push(u.clone());
+                for &u in uses {
+                    if !entry.contains(&u) {
+                        entry.push(u);
                     }
                 }
             }
@@ -414,6 +414,7 @@ impl<'a> CiSlicer<'a> {
                             }
                         }
                         Use::Arg { loc, pos } => {
+                            let pos = pos as usize;
                             let call_stmt = self.stmt(m, loc);
                             let targets =
                                 self.cache.site_targets.get(&(m, loc)).cloned().unwrap_or_default();
@@ -458,6 +459,7 @@ impl<'a> CiSlicer<'a> {
                             }
                         }
                         Use::SinkArg { loc, method, pos } => {
+                            let pos = pos as usize;
                             let sink_stmt = self.stmt(m, loc);
                             if seen_flows.insert((stmt, sink_stmt, pos)) {
                                 let mut path = reconstruct(&parents, fact);

@@ -239,7 +239,7 @@ impl<'a> CsSlicer<'a> {
         let mut queue: VecDeque<Fact> = VecDeque::new();
         // Seed: all stores (heap and static), program-wide.
         for node in self.view.pts.callgraph.iter_nodes() {
-            for uses in self.view.node(node).uses.values() {
+            for (_, uses) in self.view.node(node).iter_uses() {
                 for u in uses {
                     match u {
                         Use::Store { base, field, .. } => {
@@ -282,8 +282,7 @@ impl<'a> CsSlicer<'a> {
             };
             match cs {
                 CsFact::Var(v) => {
-                    let Some(uses) = self.view.node(node).uses.get(&v) else { continue };
-                    for u in uses.clone() {
+                    for &u in self.view.uses(node, v) {
                         match u {
                             Use::Flow { to, .. } => {
                                 push_plain((node, CsFact::Var(to)), &mut queue, &mut visited)
@@ -303,6 +302,7 @@ impl<'a> CsSlicer<'a> {
                                 &mut visited,
                             ),
                             Use::Arg { loc, pos } => {
+                                let pos = pos as usize;
                                 for &t in self.view.pts.callgraph.targets(node, loc) {
                                     let cm = self.view.pts.callgraph.method_of(t);
                                     let m = self.view.program.method(cm);
@@ -317,15 +317,13 @@ impl<'a> CsSlicer<'a> {
                                 }
                             }
                             Use::Ret { .. } => {
-                                if let Some(sites) = self.view.index.return_sites.get(&node) {
-                                    for &(caller, _, cdst) in sites {
-                                        if let Some(d) = cdst {
-                                            push_plain(
-                                                (caller, CsFact::Var(d)),
-                                                &mut queue,
-                                                &mut visited,
-                                            );
-                                        }
+                                for (caller, _, cdst) in self.view.return_sites(node) {
+                                    if let Some(d) = cdst {
+                                        push_plain(
+                                            (caller, CsFact::Var(d)),
+                                            &mut queue,
+                                            &mut visited,
+                                        );
                                     }
                                 }
                             }
@@ -334,7 +332,7 @@ impl<'a> CsSlicer<'a> {
                     }
                 }
                 CsFact::Heap(ik, field, dir) => {
-                    for l in &self.view.node(node).loads {
+                    for l in self.view.node(node).loads {
                         if l.field == Some(field) {
                             if let Some(lb) = l.base {
                                 if self.view.local_pts(node, lb).contains(ik) {
@@ -357,21 +355,19 @@ impl<'a> CsSlicer<'a> {
                         }
                     }
                     if dir == Dir::Up {
-                        if let Some(sites) = self.view.index.return_sites.get(&node) {
-                            for &(caller, cloc, _) in sites {
-                                if !self.blocks_return(caller, cloc, node, Some(ik)) {
-                                    push_plain(
-                                        (caller, CsFact::Heap(ik, field, Dir::Up)),
-                                        &mut queue,
-                                        &mut visited,
-                                    );
-                                }
+                        for (caller, cloc, _) in self.view.return_sites(node) {
+                            if !self.blocks_return(caller, cloc, node, Some(ik)) {
+                                push_plain(
+                                    (caller, CsFact::Heap(ik, field, Dir::Up)),
+                                    &mut queue,
+                                    &mut visited,
+                                );
                             }
                         }
                     }
                 }
                 CsFact::Static(field, dir) => {
-                    for l in &self.view.node(node).loads {
+                    for l in self.view.node(node).loads {
                         if l.static_field == Some(field) {
                             push_plain((node, CsFact::Var(l.dst)), &mut queue, &mut visited);
                         }
@@ -386,15 +382,13 @@ impl<'a> CsSlicer<'a> {
                         }
                     }
                     if dir == Dir::Up {
-                        if let Some(sites) = self.view.index.return_sites.get(&node) {
-                            for &(caller, cloc, _) in sites {
-                                if !self.blocks_return(caller, cloc, node, None) {
-                                    push_plain(
-                                        (caller, CsFact::Static(field, Dir::Up)),
-                                        &mut queue,
-                                        &mut visited,
-                                    );
-                                }
+                        for (caller, cloc, _) in self.view.return_sites(node) {
+                            if !self.blocks_return(caller, cloc, node, None) {
+                                push_plain(
+                                    (caller, CsFact::Static(field, Dir::Up)),
+                                    &mut queue,
+                                    &mut visited,
+                                );
                             }
                         }
                     }
@@ -418,11 +412,7 @@ impl<'a> CsSlicer<'a> {
         seen_flows: &mut HashSet<(StmtNode, StmtNode, usize)>,
         result: &mut SliceResult,
     ) {
-        let uses = match self.view.node(node).uses.get(&v) {
-            Some(u) => u.clone(),
-            None => return,
-        };
-        for u in uses {
+        for &u in self.view.uses(node, v) {
             match u {
                 Use::Flow { to, loc } => push(
                     visited,
@@ -480,6 +470,7 @@ impl<'a> CsSlicer<'a> {
                     vec![FlowStep { stmt: StmtNode { node, loc }, kind: StepKind::Local }],
                 ),
                 Use::Arg { loc, pos } => {
+                    let pos = pos as usize;
                     let call_stmt = StmtNode { node, loc };
                     for &t in self.view.pts.callgraph.targets(node, loc) {
                         let callee_method = self.view.pts.callgraph.method_of(t);
@@ -505,25 +496,24 @@ impl<'a> CsSlicer<'a> {
                     }
                 }
                 Use::Ret { .. } => {
-                    if let Some(sites) = self.view.index.return_sites.get(&node) {
-                        for &(caller, cloc, cdst) in &sites.clone() {
-                            if let Some(d) = cdst {
-                                push(
-                                    visited,
-                                    parents,
-                                    queue,
-                                    (caller, CsFact::Var(d)),
-                                    fact,
-                                    vec![FlowStep {
-                                        stmt: StmtNode { node: caller, loc: cloc },
-                                        kind: StepKind::ReturnTo,
-                                    }],
-                                );
-                            }
+                    for (caller, cloc, cdst) in self.view.return_sites(node) {
+                        if let Some(d) = cdst {
+                            push(
+                                visited,
+                                parents,
+                                queue,
+                                (caller, CsFact::Var(d)),
+                                fact,
+                                vec![FlowStep {
+                                    stmt: StmtNode { node: caller, loc: cloc },
+                                    kind: StepKind::ReturnTo,
+                                }],
+                            );
                         }
                     }
                 }
                 Use::SinkArg { loc, method, pos } => {
+                    let pos = pos as usize;
                     let sink_stmt = StmtNode { node, loc };
                     if seen_flows.insert((seed_stmt, sink_stmt, pos)) {
                         let mut path = reconstruct(parents, fact);
@@ -560,7 +550,7 @@ impl<'a> CsSlicer<'a> {
         queue: &mut VecDeque<Fact>,
     ) {
         // Loads in this node.
-        for l in &self.view.node(node).loads {
+        for l in self.view.node(node).loads {
             let (Some(lf), Some(lbase)) = (l.field, l.base) else { continue };
             if lf != field {
                 continue;
@@ -624,23 +614,21 @@ impl<'a> CsSlicer<'a> {
         // at or above their origin (realizable paths), and never across
         // spawn edges (the CS thread unsoundness).
         if dir == Dir::Up {
-            if let Some(sites) = self.view.index.return_sites.get(&node) {
-                for &(caller, cloc, _) in &sites.clone() {
-                    if self.blocks_return(caller, cloc, node, Some(ik)) {
-                        continue; // CS thread unsoundness
-                    }
-                    push(
-                        visited,
-                        parents,
-                        queue,
-                        (caller, CsFact::Heap(ik, field, Dir::Up)),
-                        fact,
-                        vec![FlowStep {
-                            stmt: StmtNode { node: caller, loc: cloc },
-                            kind: StepKind::ReturnTo,
-                        }],
-                    );
+            for (caller, cloc, _) in self.view.return_sites(node) {
+                if self.blocks_return(caller, cloc, node, Some(ik)) {
+                    continue; // CS thread unsoundness
                 }
+                push(
+                    visited,
+                    parents,
+                    queue,
+                    (caller, CsFact::Heap(ik, field, Dir::Up)),
+                    fact,
+                    vec![FlowStep {
+                        stmt: StmtNode { node: caller, loc: cloc },
+                        kind: StepKind::ReturnTo,
+                    }],
+                );
             }
         }
     }
@@ -656,7 +644,7 @@ impl<'a> CsSlicer<'a> {
         parents: &mut Parents,
         queue: &mut VecDeque<Fact>,
     ) {
-        for l in &self.view.node(node).loads {
+        for l in self.view.node(node).loads {
             if l.static_field == Some(field) {
                 push(
                     visited,
@@ -684,23 +672,21 @@ impl<'a> CsSlicer<'a> {
             }
         }
         if dir == Dir::Up {
-            if let Some(sites) = self.view.index.return_sites.get(&node) {
-                for &(caller, cloc, _) in &sites.clone() {
-                    if self.blocks_return(caller, cloc, node, None) {
-                        continue;
-                    }
-                    push(
-                        visited,
-                        parents,
-                        queue,
-                        (caller, CsFact::Static(field, Dir::Up)),
-                        fact,
-                        vec![FlowStep {
-                            stmt: StmtNode { node: caller, loc: cloc },
-                            kind: StepKind::ReturnTo,
-                        }],
-                    );
+            for (caller, cloc, _) in self.view.return_sites(node) {
+                if self.blocks_return(caller, cloc, node, None) {
+                    continue;
                 }
+                push(
+                    visited,
+                    parents,
+                    queue,
+                    (caller, CsFact::Static(field, Dir::Up)),
+                    fact,
+                    vec![FlowStep {
+                        stmt: StmtNode { node: caller, loc: cloc },
+                        kind: StepKind::ReturnTo,
+                    }],
+                );
             }
         }
     }
@@ -779,7 +765,7 @@ mod tests {
         let (program, pts) = build(TWO_SPAWNS);
         let spec = SliceSpec::default();
         let index = DefUseIndex::build(&program, &pts);
-        let view = ProgramView::new(&index, &spec);
+        let view = ProgramView::new(&program, &pts, &index, &spec);
         let slicer = CsSlicer::new(&view, SliceBounds::default());
 
         let sites = slicer.spawn_sites();
@@ -801,7 +787,7 @@ mod tests {
         let (program, pts) = build(TWO_SPAWNS);
         let spec = SliceSpec::default();
         let index = DefUseIndex::build(&program, &pts);
-        let view = ProgramView::new(&index, &spec);
+        let view = ProgramView::new(&program, &pts, &index, &spec);
         let slicer = CsSlicer::new(&view, SliceBounds::default());
 
         // Main.helper() is a plain call edge: it must not appear in
@@ -826,7 +812,7 @@ mod tests {
         );
         let spec = SliceSpec::default();
         let index = DefUseIndex::build(&program, &pts);
-        let view = ProgramView::new(&index, &spec);
+        let view = ProgramView::new(&program, &pts, &index, &spec);
         let slicer = CsSlicer::new(&view, SliceBounds::default());
         assert!(slicer.spawn_sites().is_empty());
     }
@@ -836,7 +822,7 @@ mod tests {
         let (program, pts) = build(TWO_SPAWNS);
         let spec = SliceSpec::default();
         let index = DefUseIndex::build(&program, &pts);
-        let view = ProgramView::new(&index, &spec);
+        let view = ProgramView::new(&program, &pts, &index, &spec);
         let heap = taj_pointer::HeapGraph::build(&pts);
         let esc = EscapeAnalysis::compute(&pts, &heap);
 

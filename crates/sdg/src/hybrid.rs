@@ -247,12 +247,8 @@ impl<'a> HybridSlicer<'a> {
                 return;
             }
             self.work += 1;
-            let uses = match self.view.node(node).uses.get(&var) {
-                Some(u) => u.clone(),
-                None => continue,
-            };
             let fact = (node, var);
-            for u in uses {
+            for &u in self.view.uses(node, var) {
                 match u {
                     Use::Flow { to, loc } => {
                         run.push(
@@ -289,6 +285,7 @@ impl<'a> HybridSlicer<'a> {
                         );
                     }
                     Use::Arg { loc, pos } => {
+                        let pos = pos as usize;
                         self.process_arg(
                             run,
                             result,
@@ -300,24 +297,22 @@ impl<'a> HybridSlicer<'a> {
                             fact,
                         );
                     }
-                    Use::Ret { loc } => {
-                        let _ = loc;
-                        if let Some(sites) = self.view.index.return_sites.get(&node) {
-                            for &(caller, cloc, cdst) in &sites.clone() {
-                                if let Some(d) = cdst {
-                                    run.push(
-                                        (caller, d),
-                                        fact,
-                                        vec![FlowStep {
-                                            stmt: StmtNode { node: caller, loc: cloc },
-                                            kind: StepKind::ReturnTo,
-                                        }],
-                                    );
-                                }
+                    Use::Ret { .. } => {
+                        for (caller, cloc, cdst) in self.view.return_sites(node) {
+                            if let Some(d) = cdst {
+                                run.push(
+                                    (caller, d),
+                                    fact,
+                                    vec![FlowStep {
+                                        stmt: StmtNode { node: caller, loc: cloc },
+                                        kind: StepKind::ReturnTo,
+                                    }],
+                                );
                             }
                         }
                     }
                     Use::SinkArg { loc, method, pos } => {
+                        let pos = pos as usize;
                         let sink_stmt = StmtNode { node, loc };
                         self.emit_flow(
                             run,
@@ -384,27 +379,25 @@ impl<'a> HybridSlicer<'a> {
             result.budget_exhausted = true;
             return;
         }
-        if let Some(loads) = self.view.index.loads_by_field.get(&field) {
-            for (lnode, load) in loads.clone() {
-                let Some(lbase) = load.base else { continue };
-                let lpts = self.view.local_pts(lnode, lbase);
-                if lpts.intersects(&base_pts) {
-                    if self.edge_impossible(store_node, lnode, &base_pts, &lpts) {
-                        self.edges_dropped += 1;
-                        continue;
-                    }
-                    *heap_budget += 1;
-                    if self.heap_budget_exhausted(*heap_budget) {
-                        result.budget_exhausted = true;
-                        return;
-                    }
-                    let mut s = steps.clone();
-                    s.push(FlowStep {
-                        stmt: StmtNode { node: lnode, loc: load.loc },
-                        kind: StepKind::HeapEdge,
-                    });
-                    run.push((lnode, load.dst), parent, s);
+        for (lnode, load) in self.view.index.loads_of_field(field) {
+            let Some(lbase) = load.base else { continue };
+            let lpts = self.view.local_pts(lnode, lbase);
+            if lpts.intersects(&base_pts) {
+                if self.edge_impossible(store_node, lnode, &base_pts, &lpts) {
+                    self.edges_dropped += 1;
+                    continue;
                 }
+                *heap_budget += 1;
+                if self.heap_budget_exhausted(*heap_budget) {
+                    result.budget_exhausted = true;
+                    return;
+                }
+                let mut s = steps.clone();
+                s.push(FlowStep {
+                    stmt: StmtNode { node: lnode, loc: load.loc },
+                    kind: StepKind::HeapEdge,
+                });
+                run.push((lnode, load.dst), parent, s);
             }
         }
         // Reflective invoke: array stores feed the invoked method's params.
@@ -449,20 +442,18 @@ impl<'a> HybridSlicer<'a> {
         }
         let mut steps = pre_steps;
         steps.push(FlowStep { stmt: store_stmt, kind: StepKind::Local });
-        if let Some(loads) = self.view.index.static_loads.get(&field) {
-            for (lnode, load) in loads.clone() {
-                *heap_budget += 1;
-                if self.heap_budget_exhausted(*heap_budget) {
-                    result.budget_exhausted = true;
-                    return;
-                }
-                let mut s = steps.clone();
-                s.push(FlowStep {
-                    stmt: StmtNode { node: lnode, loc: load.loc },
-                    kind: StepKind::HeapEdge,
-                });
-                run.push((lnode, load.dst), parent, s);
+        for (lnode, load) in self.view.index.static_loads_of(field) {
+            *heap_budget += 1;
+            if self.heap_budget_exhausted(*heap_budget) {
+                result.budget_exhausted = true;
+                return;
             }
+            let mut s = steps.clone();
+            s.push(FlowStep {
+                stmt: StmtNode { node: lnode, loc: load.loc },
+                kind: StepKind::HeapEdge,
+            });
+            run.push((lnode, load.dst), parent, s);
         }
     }
 
@@ -629,11 +620,7 @@ impl<'a> HybridSlicer<'a> {
         visited.insert(entry_var);
         while let Some(v) = local_queue.pop() {
             self.work += 1;
-            let uses = match self.view.node(node).uses.get(&v) {
-                Some(u) => u.clone(),
-                None => continue,
-            };
-            for u in uses {
+            for &u in self.view.uses(node, v) {
                 match u {
                     Use::Flow { to, .. } => {
                         if visited.insert(to) {
@@ -653,6 +640,7 @@ impl<'a> HybridSlicer<'a> {
                         }
                     }
                     Use::SinkArg { loc, method, pos } => {
+                        let pos = pos as usize;
                         let sk = (StmtNode { node, loc }, method, pos);
                         if !out.sinks.contains(&sk) {
                             out.sinks.push(sk);
@@ -661,6 +649,7 @@ impl<'a> HybridSlicer<'a> {
                     Use::Ret { .. } => out.reaches_ret = true,
                     Use::Sanitized { .. } => {}
                     Use::Arg { loc, pos } => {
+                        let pos = pos as usize;
                         let targets: Vec<CGNodeId> =
                             self.view.pts.callgraph.targets(node, loc).to_vec();
                         for t in targets {

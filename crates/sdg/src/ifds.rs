@@ -178,8 +178,8 @@ impl<'a> IfdsSlicer<'a> {
         let mut all_loads: Vec<(CGNodeId, LoadStmt)> = Vec::new();
         for node in view.pts.callgraph.iter_nodes() {
             let nv = view.node(node);
-            let mut vars: Vec<Var> = nv.uses.keys().copied().collect();
-            for l in &nv.loads {
+            let mut vars: Vec<Var> = nv.iter_uses().map(|(v, _)| v).collect();
+            for l in nv.loads {
                 if l.field.is_some() {
                     all_loads.push((node, *l));
                 }
@@ -371,82 +371,80 @@ impl<'a> IfdsSlicer<'a> {
         fields: &ApFields,
         fact: &Fact,
     ) {
-        if let Some(uses) = self.view.node(node).uses.get(&var).cloned() {
-            for u in uses {
-                match u {
-                    Use::Flow { to, loc } => {
-                        self.push(
-                            run,
-                            Fact::Local(node, to, fields.clone()),
-                            fact,
-                            vec![FlowStep { stmt: StmtNode { node, loc }, kind: StepKind::Local }],
-                        );
+        for &u in self.view.uses(node, var) {
+            match u {
+                Use::Flow { to, loc } => {
+                    self.push(
+                        run,
+                        Fact::Local(node, to, fields.clone()),
+                        fact,
+                        vec![FlowStep { stmt: StmtNode { node, loc }, kind: StepKind::Local }],
+                    );
+                }
+                Use::Store { loc, base, field } => {
+                    self.process_store(
+                        run,
+                        result,
+                        seen_flows,
+                        heap_edges,
+                        StmtNode { node, loc },
+                        node,
+                        base,
+                        field,
+                        fields,
+                        fact,
+                        vec![],
+                    );
+                }
+                Use::StaticStore { loc, field } => {
+                    self.push(
+                        run,
+                        Fact::Static(field, fields.clone()),
+                        fact,
+                        vec![FlowStep { stmt: StmtNode { node, loc }, kind: StepKind::Local }],
+                    );
+                }
+                Use::Arg { loc, pos } => {
+                    let pos = pos as usize;
+                    self.process_arg(
+                        run, result, seen_flows, heap_edges, node, loc, pos, fields, fact,
+                    );
+                    if self.interrupted.is_some() {
+                        return;
                     }
-                    Use::Store { loc, base, field } => {
-                        self.process_store(
-                            run,
-                            result,
-                            seen_flows,
-                            heap_edges,
-                            StmtNode { node, loc },
-                            node,
-                            base,
-                            field,
-                            fields,
-                            fact,
-                            vec![],
-                        );
-                    }
-                    Use::StaticStore { loc, field } => {
-                        self.push(
-                            run,
-                            Fact::Static(field, fields.clone()),
-                            fact,
-                            vec![FlowStep { stmt: StmtNode { node, loc }, kind: StepKind::Local }],
-                        );
-                    }
-                    Use::Arg { loc, pos } => {
-                        self.process_arg(
-                            run, result, seen_flows, heap_edges, node, loc, pos, fields, fact,
-                        );
-                        if self.interrupted.is_some() {
-                            return;
-                        }
-                    }
-                    Use::Ret { .. } => {
-                        if let Some(sites) = self.view.index.return_sites.get(&node).cloned() {
-                            for (caller, cloc, cdst) in sites {
-                                if let Some(d) = cdst {
-                                    self.push(
-                                        run,
-                                        Fact::Local(caller, d, fields.clone()),
-                                        fact,
-                                        vec![FlowStep {
-                                            stmt: StmtNode { node: caller, loc: cloc },
-                                            kind: StepKind::ReturnTo,
-                                        }],
-                                    );
-                                }
-                            }
-                        }
-                    }
-                    Use::SinkArg { loc, method, pos } => {
-                        if fields.is_value() {
-                            self.emit_flow(
+                }
+                Use::Ret { .. } => {
+                    for (caller, cloc, cdst) in self.view.return_sites(node) {
+                        if let Some(d) = cdst {
+                            self.push(
                                 run,
-                                result,
-                                seen_flows,
+                                Fact::Local(caller, d, fields.clone()),
                                 fact,
-                                vec![],
-                                StmtNode { node, loc },
-                                method,
-                                pos,
-                                StepKind::Local,
+                                vec![FlowStep {
+                                    stmt: StmtNode { node: caller, loc: cloc },
+                                    kind: StepKind::ReturnTo,
+                                }],
                             );
                         }
                     }
-                    Use::Sanitized { .. } => {}
                 }
+                Use::SinkArg { loc, method, pos } => {
+                    let pos = pos as usize;
+                    if fields.is_value() {
+                        self.emit_flow(
+                            run,
+                            result,
+                            seen_flows,
+                            fact,
+                            vec![],
+                            StmtNode { node, loc },
+                            method,
+                            pos,
+                            StepKind::Local,
+                        );
+                    }
+                }
+                Use::Sanitized { .. } => {}
             }
         }
         // Field consumption through this register's own loads: `x = v.f`
@@ -569,23 +567,21 @@ impl<'a> IfdsSlicer<'a> {
         fact: &Fact,
     ) {
         if let Some(f0) = fields.first() {
-            if let Some(loads) = self.view.index.loads_by_field.get(&f0).cloned() {
-                for (lnode, l) in loads {
-                    let Some(lbase) = l.base else { continue };
-                    if self.view.local_pts(lnode, lbase).contains(ik) {
-                        *heap_edges += 1;
-                        let next =
-                            ApFields { path: fields.path[1..].to_vec(), widened: fields.widened };
-                        self.push(
-                            run,
-                            Fact::Local(lnode, l.dst, next),
-                            fact,
-                            vec![FlowStep {
-                                stmt: StmtNode { node: lnode, loc: l.loc },
-                                kind: StepKind::HeapEdge,
-                            }],
-                        );
-                    }
+            for (lnode, l) in self.view.index.loads_of_field(f0) {
+                let Some(lbase) = l.base else { continue };
+                if self.view.local_pts(lnode, lbase).contains(ik) {
+                    *heap_edges += 1;
+                    let next =
+                        ApFields { path: fields.path[1..].to_vec(), widened: fields.widened };
+                    self.push(
+                        run,
+                        Fact::Local(lnode, l.dst, next),
+                        fact,
+                        vec![FlowStep {
+                            stmt: StmtNode { node: lnode, loc: l.loc },
+                            kind: StepKind::HeapEdge,
+                        }],
+                    );
                 }
             }
         } else if fields.widened {
@@ -625,19 +621,17 @@ impl<'a> IfdsSlicer<'a> {
         fields: &ApFields,
         fact: &Fact,
     ) {
-        if let Some(loads) = self.view.index.static_loads.get(&field).cloned() {
-            for (lnode, l) in loads {
-                *heap_edges += 1;
-                self.push(
-                    run,
-                    Fact::Local(lnode, l.dst, fields.clone()),
-                    fact,
-                    vec![FlowStep {
-                        stmt: StmtNode { node: lnode, loc: l.loc },
-                        kind: StepKind::HeapEdge,
-                    }],
-                );
-            }
+        for (lnode, l) in self.view.index.static_loads_of(field) {
+            *heap_edges += 1;
+            self.push(
+                run,
+                Fact::Local(lnode, l.dst, fields.clone()),
+                fact,
+                vec![FlowStep {
+                    stmt: StmtNode { node: lnode, loc: l.loc },
+                    kind: StepKind::HeapEdge,
+                }],
+            );
         }
     }
 
@@ -807,11 +801,7 @@ impl<'a> IfdsSlicer<'a> {
         visited.insert(entry_var);
         while let Some(v) = local_queue.pop() {
             self.work += 1;
-            let uses = match self.view.node(node).uses.get(&v) {
-                Some(u) => u.clone(),
-                None => continue,
-            };
-            for u in uses {
+            for &u in self.view.uses(node, v) {
                 match u {
                     Use::Flow { to, .. } => {
                         if visited.insert(to) {
@@ -831,6 +821,7 @@ impl<'a> IfdsSlicer<'a> {
                         }
                     }
                     Use::SinkArg { loc, method, pos } => {
+                        let pos = pos as usize;
                         let sk = (StmtNode { node, loc }, method, pos);
                         if !out.sinks.contains(&sk) {
                             out.sinks.push(sk);
@@ -839,6 +830,7 @@ impl<'a> IfdsSlicer<'a> {
                     Use::Ret { .. } => out.reaches_ret = true,
                     Use::Sanitized { .. } => {}
                     Use::Arg { loc, pos } => {
+                        let pos = pos as usize;
                         let targets: Vec<CGNodeId> =
                             self.view.pts.callgraph.targets(node, loc).to_vec();
                         for t in targets {

@@ -44,5 +44,5 @@ pub use spec::{
     StmtNode,
 };
 pub use view::{
-    DefUseIndex, FieldKey, LoadStmt, NodeView, ProgramView, SourceCall, Use, ViewStats,
+    DefUseIndex, FieldKey, LoadStmt, NodeTable, NodeView, ProgramView, SourceCall, Use, ViewStats,
 };

@@ -3,11 +3,15 @@
 //! classifications. Every slicer consumes this.
 //!
 //! The view comes in two layers: a rule-independent [`DefUseIndex`],
-//! built once per phase-2 pass, and a per-rule [`ProgramView`] that
-//! rebuilds only the nodes calling one of the rule's sources, sinks or
-//! sanitizers.
+//! built once per phase-1 result and owned by it, and a per-rule
+//! [`ProgramView`] that rebuilds only the nodes calling one of the rule's
+//! sources, sinks or sanitizers.
+//!
+//! Both layers keep their node views flat, in a [`NodeTable`]: one vector
+//! of uses sorted by (node, register) with per-node ranges. The index then
+//! costs little more than its uses, so a cache can keep it beside the
+//! phase-1 result it came from.
 
-use std::collections::HashMap;
 use std::sync::OnceLock;
 
 use jir::inst::{BinOp, Inst, Loc, Terminator, Var};
@@ -18,7 +22,7 @@ use taj_pointer::{CGNodeId, PointsTo};
 use crate::spec::{SliceSpec, StmtNode};
 
 /// Field identity for heap-edge matching.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum FieldKey {
     /// A named instance field.
     Field(FieldId),
@@ -27,7 +31,7 @@ pub enum FieldKey {
 }
 
 /// One way a register is used inside a node.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Use {
     /// Local value flow into another register at `loc`.
     Flow {
@@ -56,8 +60,8 @@ pub enum Use {
     Arg {
         /// Call statement.
         loc: Loc,
-        /// 0-based argument position.
-        pos: usize,
+        /// 0-based argument position (`u32` keeps a use at 20 bytes).
+        pos: u32,
     },
     /// Used by the `return` terminator.
     Ret {
@@ -71,7 +75,7 @@ pub enum Use {
         /// Resolved sink method.
         method: MethodId,
         /// Parameter position.
-        pos: usize,
+        pos: u32,
     },
     /// Passed to a sanitizer: propagation stops (§3.2).
     Sanitized {
@@ -120,47 +124,227 @@ pub struct RefSeed {
     pub facts: Vec<(CGNodeId, Var)>,
 }
 
-/// Slicing-oriented view of one call-graph node.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct NodeView {
-    /// Register → uses.
-    pub uses: HashMap<Var, Vec<Use>>,
-    /// Heap/static loads in this node.
-    pub loads: Vec<LoadStmt>,
-    /// Source calls (taint seeds) in this node.
-    pub sources: Vec<SourceCall>,
+/// Node views stored flat: every node's uses in one vector, sorted by
+/// register and, within a register, in body order, beside a parallel
+/// vector of those registers; loads in per-node ranges of their own
+/// vector and sources tagged with their node, both in body order. Node
+/// `i` of the table is the `i`-th node pushed.
+#[derive(Debug)]
+pub struct NodeTable {
+    /// Per node, the start of its uses; one more entry closes the last.
+    node_uses: Vec<u32>,
+    /// The register each use reads, ascending within a node.
+    vars: Vec<Var>,
+    uses: Vec<Use>,
+    /// Per node, the start of its loads; one more entry closes the last.
+    node_loads: Vec<u32>,
+    loads: Vec<LoadStmt>,
+    /// The table node of each source, ascending. Only overlays hold
+    /// sources, so the index keeps no per-node ranges for them.
+    source_nodes: Vec<u32>,
+    sources: Vec<SourceCall>,
+}
+
+impl Default for NodeTable {
+    fn default() -> Self {
+        NodeTable {
+            node_uses: vec![0],
+            vars: Vec::new(),
+            uses: Vec::new(),
+            node_loads: vec![0],
+            loads: Vec::new(),
+            source_nodes: Vec::new(),
+            sources: Vec::new(),
+        }
+    }
+}
+
+impl NodeTable {
+    /// The view of the `i`-th node of the table.
+    pub fn node(&self, i: usize) -> NodeView<'_> {
+        let range = |starts: &[u32]| starts[i] as usize..starts[i + 1] as usize;
+        let uses = range(&self.node_uses);
+        let i = i as u32;
+        let sources = self.source_nodes.partition_point(|&n| n < i)
+            ..self.source_nodes.partition_point(|&n| n <= i);
+        NodeView {
+            vars: &self.vars[uses.clone()],
+            uses: &self.uses[uses],
+            loads: &self.loads[range(&self.node_loads)],
+            sources: &self.sources[sources],
+        }
+    }
+
+    /// Appends the view of `node` under `spec`. `scratch` is reused
+    /// buffer space for the node's `(register, use)` pairs.
+    fn push(
+        &mut self,
+        program: &Program,
+        pts: &PointsTo,
+        spec: &SliceSpec,
+        node: CGNodeId,
+        scratch: &mut Vec<(Var, Use)>,
+    ) {
+        scratch.clear();
+        collect_node(program, pts, spec, node, scratch, &mut self.loads, &mut self.sources);
+        // Stable: each register keeps its uses in body order.
+        scratch.sort_by_key(|&(var, _)| var);
+        for (var, u) in scratch.drain(..) {
+            self.vars.push(var);
+            self.uses.push(u);
+        }
+        let index = (self.node_uses.len() - 1) as u32;
+        self.source_nodes.resize(self.sources.len(), index);
+        self.node_uses.push(self.uses.len() as u32);
+        self.node_loads.push(self.loads.len() as u32);
+    }
+
+    /// Releases spare capacity, so [`NodeTable::heap_bytes`] is what the
+    /// table keeps.
+    fn shrink_to_fit(&mut self) {
+        self.node_uses.shrink_to_fit();
+        self.vars.shrink_to_fit();
+        self.uses.shrink_to_fit();
+        self.node_loads.shrink_to_fit();
+        self.loads.shrink_to_fit();
+        self.source_nodes.shrink_to_fit();
+        self.sources.shrink_to_fit();
+    }
+
+    /// Heap bytes the table holds.
+    fn heap_bytes(&self) -> usize {
+        vec_bytes(&self.node_uses)
+            + vec_bytes(&self.vars)
+            + vec_bytes(&self.uses)
+            + vec_bytes(&self.node_loads)
+            + vec_bytes(&self.loads)
+            + vec_bytes(&self.source_nodes)
+            + vec_bytes(&self.sources)
+    }
+
+    fn stats(&self) -> ViewStats {
+        ViewStats {
+            nodes: self.node_uses.len() - 1,
+            use_edges: self.uses.len(),
+            loads: self.loads.len(),
+            sources: self.sources.len(),
+        }
+    }
+}
+
+/// Heap bytes a vector holds: its capacity, not its length.
+fn vec_bytes<T>(v: &Vec<T>) -> usize {
+    v.capacity() * std::mem::size_of::<T>()
+}
+
+/// Slicing-oriented view of one call-graph node, borrowed from a
+/// [`NodeTable`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct NodeView<'v> {
+    /// The register of each use, ascending.
+    vars: &'v [Var],
+    uses: &'v [Use],
+    /// Heap/static loads in this node, in body order.
+    pub loads: &'v [LoadStmt],
+    /// Source calls (taint seeds) in this node, in body order.
+    pub sources: &'v [SourceCall],
+}
+
+impl<'v> NodeView<'v> {
+    /// The uses of `var`, in body order; empty if it has none.
+    pub fn uses(&self, var: Var) -> &'v [Use] {
+        let start = self.vars.partition_point(|&v| v < var);
+        let end = self.vars.partition_point(|&v| v <= var);
+        &self.uses[start..end]
+    }
+
+    /// Every register with uses, ascending, with its uses in body order.
+    pub fn iter_uses(&self) -> impl Iterator<Item = (Var, &'v [Use])> + 'v {
+        let view = *self;
+        let mut start = 0;
+        std::iter::from_fn(move || {
+            let var = *view.vars.get(start)?;
+            let end = start + view.vars[start..].partition_point(|&v| v == var);
+            let group = &view.uses[start..end];
+            start = end;
+            Some((var, group))
+        })
+    }
+}
+
+/// A multimap stored flat: keys ascending, each with the end of its
+/// values in one vector, each key's values in insertion order.
+#[derive(Debug)]
+struct Grouped<K, V> {
+    keys: Vec<(K, u32)>,
+    values: Vec<V>,
+}
+
+impl<K: Ord + Copy, V> Grouped<K, V> {
+    /// Groups `pairs` by key, keeping the order of each key's values.
+    fn from_pairs(mut pairs: Vec<(K, V)>) -> Self {
+        pairs.sort_by_key(|&(k, _)| k);
+        let mut keys: Vec<(K, u32)> = Vec::new();
+        let mut values = Vec::with_capacity(pairs.len());
+        for (k, v) in pairs {
+            if keys.last().map(|&(last, _)| last) != Some(k) {
+                keys.push((k, 0));
+            }
+            values.push(v);
+            if let Some(last) = keys.last_mut() {
+                last.1 = values.len() as u32;
+            }
+        }
+        keys.shrink_to_fit();
+        Grouped { keys, values }
+    }
+
+    /// The values of `key`, empty if it has none.
+    fn get(&self, key: &K) -> &[V] {
+        match self.keys.binary_search_by_key(key, |&(k, _)| k) {
+            Ok(i) => self.group(i),
+            Err(_) => &[],
+        }
+    }
+
+    fn group(&self, i: usize) -> &[V] {
+        let start = if i == 0 { 0 } else { self.keys[i - 1].1 as usize };
+        &self.values[start..self.keys[i].1 as usize]
+    }
+
+    fn heap_bytes(&self) -> usize {
+        vec_bytes(&self.keys) + vec_bytes(&self.values)
+    }
 }
 
 /// The rule-independent half of the slicing view: every call-graph node's
 /// view built under an empty [`SliceSpec`], plus the global indices for
 /// heap-edge matching and return plumbing. Rules differ only at calls to
 /// their own sources, sinks and sanitizers, so one index serves every
-/// rule of a phase-2 pass; each rule's [`ProgramView`] overlays the few
-/// nodes its roles change.
+/// rule of every phase-2 pass over the same phase-1 result; each rule's
+/// [`ProgramView`] overlays the few nodes its roles change. It borrows
+/// nothing, so the phase-1 result that owns it can be cached.
 #[derive(Debug)]
-pub struct DefUseIndex<'a> {
-    /// The analyzed program.
-    pub program: &'a Program,
-    /// Phase-1 results.
-    pub pts: &'a PointsTo,
-    views: Vec<NodeView>,
-    /// All instance/array loads, grouped by field key.
-    pub loads_by_field: HashMap<FieldKey, Vec<(CGNodeId, LoadStmt)>>,
-    /// All static loads by field.
-    pub static_loads: HashMap<FieldId, Vec<(CGNodeId, LoadStmt)>>,
-    /// For each node: incoming call sites `(caller, loc, dst)` — where its
-    /// return value lands.
-    pub return_sites: HashMap<CGNodeId, Vec<(CGNodeId, Loc, Option<Var>)>>,
+pub struct DefUseIndex {
+    table: NodeTable,
+    /// Instance/array loads by field key, as `(node, index into the
+    /// table's loads)`, ascending by node.
+    loads_by_field: Grouped<FieldKey, (CGNodeId, u32)>,
+    /// Static loads by field, likewise.
+    static_loads: Grouped<FieldId, (CGNodeId, u32)>,
+    /// For each callee node: the indices of its incoming call-graph
+    /// edges, ascending — the call sites its return value lands at.
+    return_edges: Grouped<CGNodeId, u32>,
     /// Reflective invoke bindings grouped for array-store matching:
     /// `(caller node, call loc, array var, callee node)`.
     pub invoke_bindings: Vec<(CGNodeId, Loc, Var, CGNodeId)>,
     /// Method → the nodes with a call site resolving to it (a call-graph
     /// target or an intrinsic callee), ascending and unique.
-    callers_of: HashMap<MethodId, Vec<CGNodeId>>,
+    callers_of: Grouped<MethodId, CGNodeId>,
 }
 
 /// Aggregate size counters of node views — the SDG-side numbers tracing
-/// attaches to the `phase2.index` and `phase2.views` spans.
+/// attaches to the `phase1.index` and `phase2.views` spans.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ViewStats {
     /// Call-graph node views built.
@@ -181,79 +365,99 @@ impl ViewStats {
         self.loads += other.loads;
         self.sources += other.sources;
     }
-
-    fn of<'v>(views: impl IntoIterator<Item = &'v NodeView>) -> Self {
-        let mut stats = ViewStats::default();
-        for view in views {
-            stats.nodes += 1;
-            stats.use_edges += view.uses.values().map(Vec::len).sum::<usize>();
-            stats.loads += view.loads.len();
-            stats.sources += view.sources.len();
-        }
-        stats
-    }
 }
 
-impl<'a> DefUseIndex<'a> {
+impl DefUseIndex {
     /// Builds the rule-independent views of every call-graph node.
-    pub fn build(program: &'a Program, pts: &'a PointsTo) -> Self {
+    pub fn build(program: &Program, pts: &PointsTo) -> Self {
         let no_roles = SliceSpec::default();
-        let mut views = Vec::with_capacity(pts.callgraph.len());
-        let mut callers_of: HashMap<MethodId, Vec<CGNodeId>> = HashMap::new();
+        let mut table = NodeTable::default();
+        let mut scratch = Vec::new();
+        let mut callers: Vec<(MethodId, CGNodeId)> = Vec::new();
         for node in pts.callgraph.iter_nodes() {
-            views.push(build_node_view(program, pts, &no_roles, node));
-            for_each_callee(program, pts, node, |_, _, callee| {
-                let callers = callers_of.entry(callee).or_default();
-                if callers.last() != Some(&node) {
-                    callers.push(node);
-                }
-            });
+            table.push(program, pts, &no_roles, node, &mut scratch);
+            for_each_callee(program, pts, node, |_, _, callee| callers.push((callee, node)));
         }
-        let mut loads_by_field: HashMap<FieldKey, Vec<(CGNodeId, LoadStmt)>> = HashMap::new();
-        let mut static_loads: HashMap<FieldId, Vec<(CGNodeId, LoadStmt)>> = HashMap::new();
-        for (idx, view) in views.iter().enumerate() {
-            let node = CGNodeId::new(idx);
-            for l in &view.loads {
+        table.shrink_to_fit();
+        callers.sort_unstable();
+        callers.dedup();
+        let mut field_loads: Vec<(FieldKey, (CGNodeId, u32))> = Vec::new();
+        let mut static_loads: Vec<(FieldId, (CGNodeId, u32))> = Vec::new();
+        for node in pts.callgraph.iter_nodes() {
+            let (start, end) = (table.node_loads[node.index()], table.node_loads[node.index() + 1]);
+            for i in start..end {
+                let l = &table.loads[i as usize];
                 if let Some(f) = l.field {
-                    loads_by_field.entry(f).or_default().push((node, *l));
+                    field_loads.push((f, (node, i)));
                 } else if let Some(sf) = l.static_field {
-                    static_loads.entry(sf).or_default().push((node, *l));
+                    static_loads.push((sf, (node, i)));
                 }
             }
         }
-        let mut return_sites: HashMap<CGNodeId, Vec<(CGNodeId, Loc, Option<Var>)>> = HashMap::new();
-        for e in &pts.callgraph.edges {
-            let dst = call_dst_at(program, pts, e.caller, e.loc);
-            return_sites.entry(e.callee).or_default().push((e.caller, e.loc, dst));
-        }
+        let return_edges =
+            pts.callgraph.edges.iter().enumerate().map(|(i, e)| (e.callee, i as u32)).collect();
         let invoke_bindings =
             pts.invoke_bindings.iter().map(|b| (b.caller, b.loc, b.arg_array, b.callee)).collect();
         DefUseIndex {
-            program,
-            pts,
-            views,
-            loads_by_field,
-            static_loads,
-            return_sites,
+            table,
+            loads_by_field: Grouped::from_pairs(field_loads),
+            static_loads: Grouped::from_pairs(static_loads),
+            return_edges: Grouped::from_pairs(return_edges),
             invoke_bindings,
-            callers_of,
+            callers_of: Grouped::from_pairs(callers),
         }
     }
 
     /// The rule-independent view of `node`.
-    pub fn node(&self, node: CGNodeId) -> &NodeView {
-        &self.views[node.index()]
+    pub fn node(&self, node: CGNodeId) -> NodeView<'_> {
+        self.table.node(node.index())
+    }
+
+    /// Instance/array loads of `field`, as `(node, load)`, ascending by
+    /// node and in body order within a node.
+    pub fn loads_of_field(
+        &self,
+        field: FieldKey,
+    ) -> impl Iterator<Item = (CGNodeId, &LoadStmt)> + '_ {
+        self.loads_by_field.get(&field).iter().map(|&(n, i)| (n, &self.table.loads[i as usize]))
+    }
+
+    /// Every instance/array load, grouped by field key ascending.
+    pub fn field_loads(&self) -> impl Iterator<Item = (CGNodeId, &LoadStmt)> + '_ {
+        self.loads_by_field.values.iter().map(|&(n, i)| (n, &self.table.loads[i as usize]))
+    }
+
+    /// Static loads of `field`, as `(node, load)`, ascending by node.
+    pub fn static_loads_of(
+        &self,
+        field: FieldId,
+    ) -> impl Iterator<Item = (CGNodeId, &LoadStmt)> + '_ {
+        self.static_loads.get(&field).iter().map(|&(n, i)| (n, &self.table.loads[i as usize]))
     }
 
     /// Aggregate size counters over every node view.
     pub fn stats(&self) -> ViewStats {
-        ViewStats::of(&self.views)
+        self.table.stats()
+    }
+
+    /// Heap bytes the index holds: the capacity of each of its vectors
+    /// times its element size.
+    pub fn heap_bytes(&self) -> usize {
+        self.table.heap_bytes()
+            + self.loads_by_field.heap_bytes()
+            + self.static_loads.heap_bytes()
+            + self.return_edges.heap_bytes()
+            + vec_bytes(&self.invoke_bindings)
+            + self.callers_of.heap_bytes()
     }
 
     /// The nodes calling any of `methods`, ascending and unique.
-    fn callers_of_any<'m>(&self, methods: impl IntoIterator<Item = &'m MethodId>) -> Vec<CGNodeId> {
+    pub fn callers_of_any<'m>(
+        &self,
+        methods: impl IntoIterator<Item = &'m MethodId>,
+    ) -> Vec<CGNodeId> {
         let mut nodes: Vec<CGNodeId> =
-            methods.into_iter().filter_map(|m| self.callers_of.get(m)).flatten().copied().collect();
+            methods.into_iter().flat_map(|m| self.callers_of.get(m)).copied().collect();
         nodes.sort_unstable();
         nodes.dedup();
         nodes
@@ -271,28 +475,38 @@ pub struct ProgramView<'a> {
     /// The rule projection.
     pub spec: &'a SliceSpec,
     /// The shared rule-independent index.
-    pub index: &'a DefUseIndex<'a>,
-    /// Node views rebuilt under `spec`, ascending by node: exactly the
-    /// nodes calling one of its sources, sinks or sanitizers.
-    overlay: Vec<(CGNodeId, NodeView)>,
+    pub index: &'a DefUseIndex,
+    /// The nodes rebuilt under `spec`, ascending: exactly the nodes
+    /// calling one of its sources, sinks or sanitizers. `overlay` holds
+    /// their views in the same order.
+    overlay_nodes: Vec<CGNodeId>,
+    overlay: NodeTable,
     seeds: OnceLock<Vec<(StmtNode, SourceCall)>>,
     ref_seeds: OnceLock<Vec<RefSeed>>,
 }
 
 impl<'a> ProgramView<'a> {
-    /// The view of one rule over a shared index.
-    pub fn new(index: &'a DefUseIndex<'a>, spec: &'a SliceSpec) -> Self {
+    /// The view of one rule over the index built from `program` and
+    /// `pts`.
+    pub fn new(
+        program: &'a Program,
+        pts: &'a PointsTo,
+        index: &'a DefUseIndex,
+        spec: &'a SliceSpec,
+    ) -> Self {
         let roles = spec.sources.iter().chain(spec.sinks.keys()).chain(&spec.sanitizers);
-        let overlay = index
-            .callers_of_any(roles)
-            .into_iter()
-            .map(|node| (node, build_node_view(index.program, index.pts, spec, node)))
-            .collect();
+        let overlay_nodes = index.callers_of_any(roles);
+        let mut overlay = NodeTable::default();
+        let mut scratch = Vec::new();
+        for &node in &overlay_nodes {
+            overlay.push(program, pts, spec, node, &mut scratch);
+        }
         ProgramView {
-            program: index.program,
-            pts: index.pts,
+            program,
+            pts,
             spec,
             index,
+            overlay_nodes,
             overlay,
             seeds: OnceLock::new(),
             ref_seeds: OnceLock::new(),
@@ -300,16 +514,33 @@ impl<'a> ProgramView<'a> {
     }
 
     /// The view of `node` under this rule.
-    pub fn node(&self, node: CGNodeId) -> &NodeView {
-        match self.overlay.binary_search_by_key(&node, |(n, _)| *n) {
-            Ok(i) => &self.overlay[i].1,
+    pub fn node(&self, node: CGNodeId) -> NodeView<'_> {
+        match self.overlay_nodes.binary_search(&node) {
+            Ok(i) => self.overlay.node(i),
             Err(_) => self.index.node(node),
         }
     }
 
+    /// The uses of `var` in `node` under this rule, in body order.
+    pub fn uses(&self, node: CGNodeId, var: Var) -> &[Use] {
+        self.node(node).uses(var)
+    }
+
+    /// Where `callee`'s return value lands: `(caller, call loc, call
+    /// dst)` for each incoming call edge, in call-edge order.
+    pub fn return_sites(
+        &self,
+        callee: CGNodeId,
+    ) -> impl Iterator<Item = (CGNodeId, Loc, Option<Var>)> + '_ {
+        self.index.return_edges.get(&callee).iter().map(|&e| {
+            let e = &self.pts.callgraph.edges[e as usize];
+            (e.caller, e.loc, call_dst_at(self.program, self.pts, e.caller, e.loc))
+        })
+    }
+
     /// Aggregate size counters over the rule's overlay node views.
     pub fn stats(&self) -> ViewStats {
-        ViewStats::of(self.overlay.iter().map(|(_, view)| view))
+        self.overlay.stats()
     }
 
     /// All taint seeds in the program: source calls plus synthetic source
@@ -318,8 +549,8 @@ impl<'a> ProgramView<'a> {
         self.seeds.get_or_init(|| {
             // Only overlay nodes call a source, so only they hold any.
             let mut out = Vec::new();
-            for (node, view) in &self.overlay {
-                for s in &view.sources {
+            for (i, node) in self.overlay_nodes.iter().enumerate() {
+                for s in self.overlay.node(i).sources {
                     out.push((StmtNode { node: *node, loc: s.loc }, *s));
                 }
             }
@@ -356,19 +587,16 @@ impl<'a> ProgramView<'a> {
                         if arg_pts.is_empty() {
                             continue;
                         }
-                        let mut facts = Vec::new();
-                        for loads in self.index.loads_by_field.values() {
-                            for (lnode, l) in loads {
-                                let Some(lb) = l.base else { continue };
-                                if self
-                                    .pts
-                                    .local(*lnode, lb)
+                        let facts = self
+                            .index
+                            .field_loads()
+                            .filter(|(lnode, l)| {
+                                l.base
+                                    .and_then(|b| self.pts.local(*lnode, b))
                                     .is_some_and(|p| p.intersects(&arg_pts))
-                                {
-                                    facts.push((*lnode, l.dst));
-                                }
-                            }
-                        }
+                            })
+                            .map(|(lnode, l)| (lnode, l.dst))
+                            .collect();
                         out.push(RefSeed {
                             stmt: StmtNode { node, loc },
                             method: callee,
@@ -448,20 +676,34 @@ fn call_dst_at(program: &Program, pts: &PointsTo, node: CGNodeId, loc: Loc) -> O
     }
 }
 
-/// The slicing view of `node` under `spec` — the definition a
-/// [`ProgramView`] reproduces for every node, shared or overlaid.
+/// The slicing view of `node` under `spec`, as a one-node table — the
+/// definition a [`ProgramView`] reproduces for every node, shared or
+/// overlaid.
 pub fn build_node_view(
     program: &Program,
     pts: &PointsTo,
     spec: &SliceSpec,
     node: CGNodeId,
-) -> NodeView {
+) -> NodeTable {
+    let mut table = NodeTable::default();
+    table.push(program, pts, spec, node, &mut Vec::new());
+    table
+}
+
+/// Appends the uses of `node` under `spec` (as `(register, use)` pairs,
+/// in body order), its loads and its sources.
+fn collect_node(
+    program: &Program,
+    pts: &PointsTo,
+    spec: &SliceSpec,
+    node: CGNodeId,
+    uses: &mut Vec<(Var, Use)>,
+    loads: &mut Vec<LoadStmt>,
+    sources: &mut Vec<SourceCall>,
+) {
     let method = pts.callgraph.method_of(node);
-    let mut view = NodeView::default();
-    let Some(body) = program.method(method).body() else {
-        return view;
-    };
-    let mut add_use = |v: Var, u: Use| view.uses.entry(v).or_default().push(u);
+    let Some(body) = program.method(method).body() else { return };
+    let mut add_use = |v: Var, u: Use| uses.push((v, u));
 
     for (bid, block) in body.iter_blocks() {
         for (i, inst) in block.insts.iter().enumerate() {
@@ -489,7 +731,7 @@ pub fn build_node_view(
                     add_use(*rhs, Use::Flow { to: *dst, loc });
                 }
                 Inst::Load { dst, base, field } => {
-                    view.loads.push(LoadStmt {
+                    loads.push(LoadStmt {
                         loc,
                         base: Some(*base),
                         field: Some(FieldKey::Field(*field)),
@@ -498,7 +740,7 @@ pub fn build_node_view(
                     });
                 }
                 Inst::StaticLoad { dst, field } => {
-                    view.loads.push(LoadStmt {
+                    loads.push(LoadStmt {
                         loc,
                         base: None,
                         field: None,
@@ -507,7 +749,7 @@ pub fn build_node_view(
                     });
                 }
                 Inst::ArrayLoad { dst, base, .. } => {
-                    view.loads.push(LoadStmt {
+                    loads.push(LoadStmt {
                         loc,
                         base: Some(*base),
                         field: Some(FieldKey::Array),
@@ -535,7 +777,7 @@ pub fn build_node_view(
                         *recv,
                         args,
                         &mut add_use,
-                        &mut view.sources,
+                        sources,
                     );
                     // Container intrinsics that survived model expansion
                     // (receiver static type too weak, e.g. an interface):
@@ -551,7 +793,7 @@ pub fn build_node_view(
                         if let (Some(d), Some(r)) = (*dst, *recv) {
                             for fname in field_names {
                                 if let Some(f) = program.find_synthetic_field(fname) {
-                                    view.loads.push(LoadStmt {
+                                    loads.push(LoadStmt {
                                         loc,
                                         base: Some(r),
                                         field: Some(FieldKey::Field(f)),
@@ -563,7 +805,7 @@ pub fn build_node_view(
                             // A fallback MapGet must cover every known key.
                             if intr == Intrinsic::MapGet {
                                 for f in program.map_key_fields() {
-                                    view.loads.push(LoadStmt {
+                                    loads.push(LoadStmt {
                                         loc,
                                         base: Some(r),
                                         field: Some(FieldKey::Field(f)),
@@ -587,7 +829,6 @@ pub fn build_node_view(
             add_use(*v, Use::Ret { loc: term_loc });
         }
     }
-    view
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -616,7 +857,7 @@ fn build_call_uses(
         if let Some(positions) = spec.sinks.get(&callee) {
             for &p in positions {
                 if let Some(&a) = args.get(p) {
-                    add_use(a, Use::SinkArg { loc, method: callee, pos: p });
+                    add_use(a, Use::SinkArg { loc, method: callee, pos: p as u32 });
                 }
             }
             continue; // flow does not continue into sink bodies
@@ -631,7 +872,7 @@ fn build_call_uses(
     }
     if has_body_target {
         for (i, &a) in args.iter().enumerate() {
-            add_use(a, Use::Arg { loc, pos: i });
+            add_use(a, Use::Arg { loc, pos: i as u32 });
         }
     }
 
@@ -646,7 +887,7 @@ fn build_call_uses(
         if let Some(positions) = spec.sinks.get(&callee) {
             for &p in positions {
                 if let Some(&a) = args.get(p) {
-                    add_use(a, Use::SinkArg { loc, method: callee, pos: p });
+                    add_use(a, Use::SinkArg { loc, method: callee, pos: p as u32 });
                 }
             }
         }
@@ -744,7 +985,7 @@ mod tests {
         );
         let spec = default_spec(&p);
         let index = DefUseIndex::build(&p, &pts);
-        let view = ProgramView::new(&index, &spec);
+        let view = ProgramView::new(&p, &pts, &index, &spec);
         assert_eq!(view.seeds().len(), 1);
     }
 
@@ -763,9 +1004,9 @@ mod tests {
         );
         let spec = default_spec(&p);
         let index = DefUseIndex::build(&p, &pts);
-        let view = ProgramView::new(&index, &spec);
+        let view = ProgramView::new(&p, &pts, &index, &spec);
         let has_sink = pts.callgraph.iter_nodes().any(|n| {
-            view.node(n).uses.values().flatten().any(|u| matches!(u, Use::SinkArg { .. }))
+            view.node(n).iter_uses().flat_map(|(_, u)| u).any(|u| matches!(u, Use::SinkArg { .. }))
         });
         assert!(has_sink, "println argument should be a SinkArg");
     }
@@ -785,9 +1026,12 @@ mod tests {
         );
         let spec = default_spec(&p);
         let index = DefUseIndex::build(&p, &pts);
-        let view = ProgramView::new(&index, &spec);
+        let view = ProgramView::new(&p, &pts, &index, &spec);
         let has_sanitized = pts.callgraph.iter_nodes().any(|n| {
-            view.node(n).uses.values().flatten().any(|u| matches!(u, Use::Sanitized { .. }))
+            view.node(n)
+                .iter_uses()
+                .flat_map(|(_, u)| u)
+                .any(|u| matches!(u, Use::Sanitized { .. }))
         });
         assert!(has_sanitized);
         // And no Flow use may exist at the same statement as the
@@ -795,9 +1039,8 @@ mod tests {
         for n in pts.callgraph.iter_nodes() {
             let sanitized_locs: Vec<Loc> = view
                 .node(n)
-                .uses
-                .values()
-                .flatten()
+                .iter_uses()
+                .flat_map(|(_, u)| u)
                 .filter_map(|u| match u {
                     Use::Sanitized { loc } => Some(*loc),
                     _ => None,
@@ -805,9 +1048,8 @@ mod tests {
                 .collect();
             let flows_at_sanitizer = view
                 .node(n)
-                .uses
-                .values()
-                .flatten()
+                .iter_uses()
+                .flat_map(|(_, u)| u)
                 .any(|u| matches!(u, Use::Flow { loc, .. } if sanitized_locs.contains(loc)));
             assert!(!flows_at_sanitizer, "sanitized arg must not also flow");
         }
@@ -828,11 +1070,13 @@ mod tests {
         );
         let spec = default_spec(&p);
         let index = DefUseIndex::build(&p, &pts);
-        let view = ProgramView::new(&index, &spec);
+        let view = ProgramView::new(&p, &pts, &index, &spec);
         let flows = pts
             .callgraph
             .iter_nodes()
-            .flat_map(|n| view.node(n).uses.values().flatten().cloned().collect::<Vec<_>>())
+            .flat_map(|n| {
+                view.node(n).iter_uses().flat_map(|(_, u)| u).cloned().collect::<Vec<_>>()
+            })
             .filter(|u| matches!(u, Use::Flow { .. }))
             .count();
         assert!(flows >= 1, "concat should register local flow");
@@ -853,9 +1097,9 @@ mod tests {
         );
         let spec = default_spec(&p);
         let index = DefUseIndex::build(&p, &pts);
-        let view = ProgramView::new(&index, &spec);
+        let view = ProgramView::new(&p, &pts, &index, &spec);
         let box_c = p.class_by_name("Box").unwrap();
         let v_field = p.field_by_name(box_c, "v").unwrap();
-        assert!(view.index.loads_by_field.contains_key(&FieldKey::Field(v_field)));
+        assert!(view.index.loads_of_field(FieldKey::Field(v_field)).next().is_some());
     }
 }

@@ -26,7 +26,7 @@ fn setup(src: &str) -> (jir::Program, taj_pointer::PointsTo, SliceSpec) {
 fn cs_flows(src: &str) -> usize {
     let (p, pts, spec) = setup(src);
     let index = DefUseIndex::build(&p, &pts);
-    let view = ProgramView::new(&index, &spec);
+    let view = ProgramView::new(&p, &pts, &index, &spec);
     CsSlicer::new(&view, SliceBounds::default()).run().unwrap().flows.len()
 }
 
@@ -84,7 +84,7 @@ fn down_then_up_is_rejected() {
     // Also drive Other's entrypoint.
     let program = p; // (entrypoints already synthesized for Main only)
     let index = DefUseIndex::build(&program, &pts);
-    let view = ProgramView::new(&index, &spec);
+    let view = ProgramView::new(&program, &pts, &index, &spec);
     let flows = CsSlicer::new(&view, SliceBounds::default()).run().unwrap().flows;
     assert_eq!(flows.len(), 0, "heap fact must not return through the unrelated factory call site");
 }
@@ -108,7 +108,7 @@ fn budget_failure_is_deterministic() {
     for _ in 0..2 {
         let (p, pts, spec) = setup(src);
         let index = DefUseIndex::build(&p, &pts);
-        let view = ProgramView::new(&index, &spec);
+        let view = ProgramView::new(&p, &pts, &index, &spec);
         let bounds = SliceBounds { max_path_edges: Some(3), ..Default::default() };
         match CsSlicer::new(&view, bounds).run() {
             Err(SliceError::OutOfBudget { path_edges }) => counts.push(path_edges),
@@ -139,7 +139,7 @@ fn closure_cost_is_charged_even_without_sources() {
     let spec = SliceSpec::default(); // no sources at all
     let pts = analyze(&program, &SolverConfig::default());
     let index = DefUseIndex::build(&program, &pts);
-    let view = ProgramView::new(&index, &spec);
+    let view = ProgramView::new(&program, &pts, &index, &spec);
     let tiny = SliceBounds { max_path_edges: Some(1), ..Default::default() };
     assert!(
         CsSlicer::new(&view, tiny).run().is_err(),

@@ -43,7 +43,7 @@ const TWO_HOP: &str = r#"
 fn path_starts_at_seed_ends_at_sink() {
     let (p, pts, spec) = run(TWO_HOP);
     let index = DefUseIndex::build(&p, &pts);
-    let view = ProgramView::new(&index, &spec);
+    let view = ProgramView::new(&p, &pts, &index, &spec);
     let flows = HybridSlicer::new(&view, SliceBounds::default()).run().flows;
     assert_eq!(flows.len(), 1);
     let f = &flows[0];
@@ -56,7 +56,7 @@ fn path_starts_at_seed_ends_at_sink() {
 fn heap_transition_count_matches_path() {
     let (p, pts, spec) = run(TWO_HOP);
     let index = DefUseIndex::build(&p, &pts);
-    let view = ProgramView::new(&index, &spec);
+    let view = ProgramView::new(&p, &pts, &index, &spec);
     let flows = HybridSlicer::new(&view, SliceBounds::default()).run().flows;
     let f = &flows[0];
     let counted = f
@@ -72,7 +72,7 @@ fn heap_transition_count_matches_path() {
 fn every_step_resolves_to_a_real_statement() {
     let (p, pts, spec) = run(TWO_HOP);
     let index = DefUseIndex::build(&p, &pts);
-    let view = ProgramView::new(&index, &spec);
+    let view = ProgramView::new(&p, &pts, &index, &spec);
     let flows = HybridSlicer::new(&view, SliceBounds::default()).run().flows;
     for f in &flows {
         for step in &f.path {
@@ -93,7 +93,7 @@ fn every_step_resolves_to_a_real_statement() {
 fn library_classification_is_queryable_per_step() {
     let (p, pts, spec) = run(TWO_HOP);
     let index = DefUseIndex::build(&p, &pts);
-    let view = ProgramView::new(&index, &spec);
+    let view = ProgramView::new(&p, &pts, &index, &spec);
     let flows = HybridSlicer::new(&view, SliceBounds::default()).run().flows;
     // Every step of this flow is in application code ($Entrypoints/Main).
     for step in &flows[0].path {

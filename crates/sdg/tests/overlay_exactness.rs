@@ -50,8 +50,12 @@ fn call_at(
 }
 
 /// By-reference seeds by a walk over every call site of every node.
-fn reference_ref_seeds(index: &DefUseIndex<'_>, spec: &SliceSpec) -> Vec<RefSeed> {
-    let (program, pts) = (index.program, index.pts);
+fn reference_ref_seeds(
+    program: &Program,
+    pts: &PointsTo,
+    index: &DefUseIndex,
+    spec: &SliceSpec,
+) -> Vec<RefSeed> {
     let mut out = Vec::new();
     for node in pts.callgraph.iter_nodes() {
         let Some(body) = program.method(pts.callgraph.method_of(node)).body() else { continue };
@@ -73,15 +77,13 @@ fn reference_ref_seeds(index: &DefUseIndex<'_>, spec: &SliceSpec) -> Vec<RefSeed
                             continue;
                         }
                         let facts = index
-                            .loads_by_field
-                            .values()
-                            .flatten()
+                            .field_loads()
                             .filter(|(lnode, l)| {
                                 l.base
                                     .and_then(|b| pts.local(*lnode, b))
                                     .is_some_and(|p| p.intersects(&arg_pts))
                             })
-                            .map(|(lnode, l)| (*lnode, l.dst))
+                            .map(|(lnode, l)| (lnode, l.dst))
                             .collect();
                         out.push(RefSeed {
                             stmt: StmtNode { node, loc },
@@ -113,11 +115,12 @@ fn assert_overlay_exact(
     let (mut overlaid, mut ref_seeds) = (0, 0);
     for rule in &rules {
         let spec = spec_of(rule, pts, &prepared.synthetic_sites);
-        let view = ProgramView::new(&index, &spec);
+        let view = ProgramView::new(program, pts, &index, &spec);
         let mut seeds: Vec<(StmtNode, SourceCall)> = Vec::new();
         for node in pts.callgraph.iter_nodes() {
             let full = build_node_view(program, pts, &spec, node);
-            assert_eq!(view.node(node), &full, "[{label} {}] node {node:?}", rule.issue);
+            let full = full.node(0);
+            assert_eq!(view.node(node), full, "[{label} {}] node {node:?}", rule.issue);
             seeds.extend(full.sources.iter().map(|s| (StmtNode { node, loc: s.loc }, *s)));
         }
         for site in &spec.synthetic_source_sites {
@@ -128,7 +131,7 @@ fn assert_overlay_exact(
             }
         }
         assert_eq!(view.seeds(), &seeds[..], "[{label} {}] seeds", rule.issue);
-        let want_refs = reference_ref_seeds(&index, &spec);
+        let want_refs = reference_ref_seeds(program, pts, &index, &spec);
         assert_eq!(view.ref_seeds(), &want_refs[..], "[{label} {}] ref seeds", rule.issue);
         overlaid += view.stats().nodes;
         ref_seeds += want_refs.len();

@@ -43,19 +43,19 @@ fn setup(src: &str) -> Setup {
 
 fn run_hybrid(s: &Setup) -> SliceResult {
     let index = DefUseIndex::build(&s.program, &s.pts);
-    let view = ProgramView::new(&index, &s.spec);
+    let view = ProgramView::new(&s.program, &s.pts, &index, &s.spec);
     HybridSlicer::new(&view, SliceBounds::default()).run()
 }
 
 fn run_ci(s: &Setup) -> SliceResult {
     let index = DefUseIndex::build(&s.program, &s.pts);
-    let view = ProgramView::new(&index, &s.spec);
+    let view = ProgramView::new(&s.program, &s.pts, &index, &s.spec);
     CiSlicer::new(&view, SliceBounds::default()).run()
 }
 
 fn run_cs(s: &Setup) -> Result<SliceResult, taj_sdg::SliceError> {
     let index = DefUseIndex::build(&s.program, &s.pts);
-    let view = ProgramView::new(&index, &s.spec);
+    let view = ProgramView::new(&s.program, &s.pts, &index, &s.spec);
     CsSlicer::new(&view, SliceBounds::default()).run()
 }
 
@@ -243,7 +243,7 @@ fn cs_misses_cross_thread_flow() {
 fn cs_runs_out_of_budget() {
     let s = setup(DIRECT_FLOW);
     let index = DefUseIndex::build(&s.program, &s.pts);
-    let view = ProgramView::new(&index, &s.spec);
+    let view = ProgramView::new(&s.program, &s.pts, &index, &s.spec);
     let bounds = SliceBounds { max_path_edges: Some(1), ..Default::default() };
     let err = CsSlicer::new(&view, bounds).run().unwrap_err();
     assert!(matches!(err, taj_sdg::SliceError::OutOfBudget { .. }));
@@ -271,7 +271,7 @@ fn heap_transition_bound_limits_hybrid() {
         "#,
     );
     let index = DefUseIndex::build(&s.program, &s.pts);
-    let view = ProgramView::new(&index, &s.spec);
+    let view = ProgramView::new(&s.program, &s.pts, &index, &s.spec);
     let bounds = SliceBounds { max_heap_transitions: Some(0), ..Default::default() };
     let res = HybridSlicer::new(&view, bounds).run();
     assert!(res.budget_exhausted);

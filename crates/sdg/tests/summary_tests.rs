@@ -34,7 +34,7 @@ fn setup(src: &str) -> Setup {
 
 fn flows(s: &Setup) -> usize {
     let index = DefUseIndex::build(&s.program, &s.pts);
-    let view = ProgramView::new(&index, &s.spec);
+    let view = ProgramView::new(&s.program, &s.pts, &index, &s.spec);
     HybridSlicer::new(&view, SliceBounds::default()).run().flows.len()
 }
 
@@ -192,7 +192,7 @@ fn summaries_shared_across_seeds() {
         "#,
     );
     let index = DefUseIndex::build(&s.program, &s.pts);
-    let view = ProgramView::new(&index, &s.spec);
+    let view = ProgramView::new(&s.program, &s.pts, &index, &s.spec);
     let result = HybridSlicer::new(&view, SliceBounds::default()).run();
     assert_eq!(result.flows.len(), 2);
     // Work should be far below 2× the single-seed cost; sanity-bound it.

@@ -257,11 +257,13 @@ pub fn prepared_bytes(source_len: usize) -> usize {
     4096 + source_len * 12
 }
 
-/// Estimated footprint of a phase-1 result, driven by the solver's own
-/// size counters.
+/// Footprint of a phase-1 result: an estimate driven by the solver's own
+/// size counters, plus the exact heap bytes of its def-use index.
 pub fn phase1_bytes(phase1: &Phase1) -> usize {
     let s = &phase1.pts.stats;
-    4096 + s.pointer_keys * 96 + s.instance_keys * 96 + s.call_edges * 48 + s.nodes * 64
+    let solver =
+        4096 + s.pointer_keys * 96 + s.instance_keys * 96 + s.call_edges * 48 + s.nodes * 64;
+    solver + phase1.index.heap_bytes()
 }
 
 #[cfg(test)]

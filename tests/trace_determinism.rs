@@ -160,6 +160,7 @@ fn traced_run_emits_mandatory_spans_and_valid_chrome_json() {
         "phase1.heapgraph",
         "phase1.escape",
         "phase1.mhp",
+        "phase1.index",
         "phase2",
         "phase2.specs",
         "phase2.views",
@@ -206,7 +207,7 @@ fn small_app(name: &str) -> GeneratedBenchmark {
 }
 
 #[test]
-fn def_use_index_is_built_once_per_phase2_pass() {
+fn def_use_index_is_built_once_per_phase1() {
     let bench = small_app("index-once");
     let default_rules = RuleSet::default_rules();
     let one_rule = RuleSet { rules: default_rules.rules[..1].to_vec(), ..default_rules.clone() };
@@ -215,7 +216,8 @@ fn def_use_index_is_built_once_per_phase2_pass() {
         TajConfig::all().into_iter().map(|c| (default_rules.clone(), c, false)).collect();
     runs.push((one_rule, TajConfig::hybrid_unbounded(), false));
     runs.push((no_rules, TajConfig::hybrid_unbounded(), false));
-    // The degradation ladder runs one pass per rung.
+    // The degradation ladder runs one phase-2 pass per rung over one
+    // phase-1 result.
     runs.push((default_rules, TajConfig::cs_tiny(), true));
     for (rules, config, degrade) in runs {
         let rule_count = rules.rules.len();
@@ -223,14 +225,22 @@ fn def_use_index_is_built_once_per_phase2_pass() {
             .expect("generated benchmark prepares");
         for threads in [1, 2] {
             let (_, signature) = run_traced(&prepared, &config, threads, degrade, false);
+            let label = format!("[{} with {rule_count} rule(s), {threads} threads]", config.name);
             let passes = count_events(&signature, "phase2");
             let min_passes = if degrade { 2 } else { 1 };
-            assert!(passes >= min_passes, "[{}] {signature:?}", config.name);
+            assert!(passes >= min_passes, "{label} {signature:?}");
+            assert_eq!(count_events(&signature, "phase1"), 1, "{label} {signature:?}");
             assert_eq!(
-                count_events(&signature, "phase2.index"),
-                passes,
-                "[{} with {rule_count} rule(s), {threads} threads] one index per pass",
-                config.name
+                count_events(&signature, "phase1.index"),
+                1,
+                "{label} one index per phase 1"
+            );
+            assert!(
+                !signature
+                    .iter()
+                    .filter_map(|l| l.split(' ').next())
+                    .any(|name| name.starts_with("phase2") && name.contains("index")),
+                "{label} no index span inside phase 2: {signature:?}"
             );
         }
     }
